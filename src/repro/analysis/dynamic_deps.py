@@ -1,6 +1,6 @@
 """Dynamic (profile-guided) memory-dependence analysis.
 
-This observer reconstructs, from one instrumented execution, the memory
+This profiler reconstructs, from one instrumented execution, the memory
 data-flow the paper's infrastructure obtains from LLVM instrumentation:
 
 * **per-loop dependence edges** between *static* instruction sites —
@@ -14,6 +14,23 @@ data-flow the paper's infrastructure obtains from LLVM instrumentation:
   loops with helper calls (``push``/``pop``) still produce loop-level
   edges.
 
+Two event sources feed the same recording core:
+
+* the tree-walking interpreter, through the :class:`Observer` interface
+  (``on_read``/``on_write`` with the instruction, loop events, the
+  interpreter's call stack);
+* the codegen backend's profiling lowering
+  (:mod:`repro.interp.codegen`), which bakes the hooks returned by
+  :meth:`DynamicDepProfiler.codegen_hooks` into the generated source:
+  memory hooks carry a static site index, calls push and pop their site
+  index, and loop events are emitted per CFG edge.
+
+A profiler built with ``full=False`` records only what iterator
+recognition and the static pre-screen read — loop trip counts and
+same-invocation flow pairs (:meth:`memory_flow_edges`) — and skips the
+anti/output edges, per-location edge sets and privatization state that
+only the tiering stage consumes.
+
 Consumers:
 
 * :mod:`repro.core.iterator_recognition` follows same-invocation flow
@@ -21,18 +38,18 @@ Consumers:
   the iterator slice (the "profile-guided" part of generalized iterator
   recognition);
 * the dependence-profiling and DiscoPoP-style baselines decide
-  parallelizability from the cross-iteration edges.
+  parallelizability from the cross-iteration edges;
+* the tiering stage builds its SCC-DAG from the full edge set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis.loops import build_loop_forest
 from repro.interp.events import Observer
 from repro.ir.function import Module
-from repro.ir.instructions import Instr
 
 __all__ = [
     "DepEdge",
@@ -48,8 +65,7 @@ Site = Tuple[str, str, int]
 LoopSnap = Tuple[str, int, int]
 
 
-@dataclass(frozen=True)
-class DepEdge:
+class DepEdge(NamedTuple):
     """A dynamic dependence between two static sites, scoped to a loop."""
 
     kind: str  # "raw" | "war" | "waw"
@@ -62,25 +78,48 @@ class DepEdge:
 
 
 class SiteRegistry:
-    """Maps instruction identity to static location and loop membership."""
+    """Static sites of a module: indices, loop membership, loop chains.
+
+    Every instruction gets a *site index* — its position in a walk over
+    functions, blocks (``block_order``) and instructions, all of which
+    the printed module fixes — so compiled code can bake the index in
+    and a disk artifact stays valid for any module with the same digest.
+    """
 
     def __init__(self, module: Module):
         self.module = module
-        self.site_of: Dict[int, Site] = {}
-        #: id(instr) -> loop labels containing the instruction.
-        self.loops_of: Dict[int, Tuple[str, ...]] = {}
+        #: site index -> (function, block, instruction index).
+        self.sites: List[Site] = []
+        #: site index -> loop labels containing the instruction.
+        self.loops_of: List[Tuple[str, ...]] = []
+        #: id(instr) -> site index.
+        self.index_of: Dict[int, int] = {}
+        #: function -> block -> loop labels containing the block,
+        #: outermost first.
+        self.block_chains: Dict[str, Dict[str, Tuple[str, ...]]] = {}
+        #: function -> loop header block -> loop label.
+        self.loop_headers: Dict[str, Dict[str, str]] = {}
+        self._innermost_cache: Dict[Tuple[Tuple[int, ...], str], Optional[Site]] = {}
         for func in module.functions.values():
             forest = build_loop_forest(func)
+            chains: Dict[str, Tuple[str, ...]] = {}
             for block in func.ordered_blocks():
                 chain = tuple(l.label for l in forest.loop_chain(block.name))
+                chains[block.name] = chain
                 for idx, instr in enumerate(block.instrs):
-                    self.site_of[id(instr)] = (func.name, block.name, idx)
-                    self.loops_of[id(instr)] = chain
+                    self.index_of[id(instr)] = len(self.sites)
+                    self.sites.append((func.name, block.name, idx))
+                    self.loops_of.append(chain)
+            self.block_chains[func.name] = chains
+            self.loop_headers[func.name] = {
+                loop.header: loop.label for loop in forest.loops.values()
+            }
 
     def innermost_site_in_loop(
         self, chain: Tuple[int, ...], label: str
     ) -> Optional[Site]:
-        """Deepest element of an attribution chain lying inside ``label``.
+        """Deepest element of an attribution chain (site indices, call
+        sites outermost first, the access last) lying inside ``label``.
 
         Memoized: the same static chains recur once per iteration, so
         the scan runs once per distinct ``(chain, label)`` pair.
@@ -90,32 +129,14 @@ class SiteRegistry:
             return self._innermost_cache[key]
         except KeyError:
             pass
-        except AttributeError:
-            self._innermost_cache = {}
         site = None
-        for instr_id in reversed(chain):
-            if label in self.loops_of.get(instr_id, ()):
-                site = self.site_of[instr_id]
+        loops_of = self.loops_of
+        for index in reversed(chain):
+            if label in loops_of[index]:
+                site = self.sites[index]
                 break
         self._innermost_cache[key] = site
         return site
-
-
-@dataclass
-class _Access:
-    chain: Tuple[int, ...]
-    loops: Tuple[LoopSnap, ...]
-
-
-@dataclass
-class _PrivState:
-    """Per-(loop,location) privatization tracking."""
-
-    invocation: int = -1
-    iteration: int = -1
-    first_is_write: bool = True
-    always_written_first: bool = True
-    iterations_touched: int = 0
 
 
 @dataclass
@@ -139,8 +160,26 @@ class LoopDeps:
         return {(e.writer, e.reader) for e in self.edges if e.kind == "raw"}
 
 
+class _Hooks(NamedTuple):
+    """The recording entry points shared by both event sources."""
+
+    read: Callable[[Tuple, int], None]
+    write: Callable[[Tuple, int], None]
+    call: Callable[[int], None]
+    ret: Callable[[], None]
+    set_chain: Callable[[Tuple[int, ...]], None]
+    enter: Callable[[Tuple[str, ...]], None]
+    iterate: Callable[[], None]
+    leave: Callable[[int], None]
+
+
 class DynamicDepProfiler(Observer):
-    """Observer building :class:`LoopDeps` for every loop executed."""
+    """Profiler building per-loop dependence facts for every loop executed.
+
+    ``full=False`` records only trip counts and same-invocation flow
+    pairs; :meth:`deps_for` and :meth:`is_privatizable` then refuse to
+    answer instead of answering from facts that were never recorded.
+    """
 
     wants_memory = True
     wants_loops = True
@@ -148,130 +187,304 @@ class DynamicDepProfiler(Observer):
     #: Cap on remembered reads per location between writes.
     _MAX_READS = 6
 
-    def __init__(self, module: Module, registry: Optional[SiteRegistry] = None):
+    def __init__(
+        self,
+        module: Module,
+        registry: Optional[SiteRegistry] = None,
+        full: bool = True,
+    ):
         self.registry = registry or SiteRegistry(module)
+        self.full = full
         self.loop_deps: Dict[str, LoopDeps] = {}
-        self._last_write: Dict[Tuple, _Access] = {}
-        self._reads: Dict[Tuple, List[_Access]] = {}
-        self._priv: Dict[Tuple[str, Tuple], _PrivState] = {}
+        #: label -> (writer, reader) flow pairs (``full=False`` only).
+        self._flow: Dict[str, Set[Tuple[Site, Site]]] = {}
+        #: (label, location) -> [invocation, iteration, always written
+        #: first, iterations touched] (``full=True`` only).
+        self._priv: Dict[Tuple[str, Tuple], List] = {}
         #: Labels of loops that were entered at least once.
         self.executed: set = set()
         #: Highest trip count observed per loop label (across invocations).
         self.max_trips: Dict[str, int] = {}
         self.interp = None  # set by attach()
-        #: Incremental mirror of the interpreter's loop stack, rebuilt on
-        #: loop events (rare) so per-access snapshots (hot) reuse it.
-        self._lstack: List[Tuple[str, int, int]] = []
-        self._loops_snap: Tuple[Tuple[str, int, int], ...] = ()
-        #: Call-chain prefix cached against interp.call_stack_version.
-        self._chain_base: Tuple[int, ...] = ()
-        self._chain_version = -1
+        #: Interpreter call-stack version the attribution chain mirrors.
+        self._chain_version = 0
+        self._hooks = self._build_hooks()
 
-    def on_loop_enter(self, label: str, invocation: int) -> None:
-        self.executed.add(label)
-        self.max_trips.setdefault(label, 0)
-        self._lstack.append((label, invocation, 0))
-        self._loops_snap = tuple(self._lstack)
+    # -- recording core ----------------------------------------------------------
 
-    def on_loop_iteration(self, label: str, invocation: int, iteration: int) -> None:
-        if iteration > self.max_trips.get(label, 0):
-            self.max_trips[label] = iteration
-        self._lstack[-1] = (label, invocation, iteration)
-        self._loops_snap = tuple(self._lstack)
+    def _build_hooks(self) -> _Hooks:
+        """Closures over the profiler's dynamic state.
 
-    def on_loop_exit(self, label: str, invocation: int) -> None:
-        if self._lstack:
-            self._lstack.pop()
-        self._loops_snap = tuple(self._lstack)
+        The current call chain and loop-stack snapshot live in closure
+        cells so the per-access hooks (the hot path) read them without
+        attribute lookups; loop and call events rebind them.
+        """
+        innermost = self.registry.innermost_site_in_loop
+        full = self.full
+        max_reads = self._MAX_READS
+        loop_deps = self.loop_deps
+        flow = self._flow
+        priv = self._priv
+        executed = self.executed
+        max_trips = self.max_trips
+        #: location -> (chain, loop snapshot) of the last write.
+        last_write: Dict[Tuple, Tuple] = {}
+        #: location -> accesses read since the last write (full only).
+        reads: Dict[Tuple, List[Tuple]] = {}
+        invocations: Dict[str, int] = {}
+        lstack: List[LoopSnap] = []
+        snap: Tuple[LoopSnap, ...] = ()
+        #: label -> innermost active entry of ``snap`` (built lazily).
+        active: Optional[Dict[str, LoopSnap]] = None
+        chain: Tuple[int, ...] = ()
+        chain_stack: List[Tuple[int, ...]] = []
 
-    # -- event handlers ---------------------------------------------------------
+        def _active() -> Dict[str, LoopSnap]:
+            nonlocal active
+            active = {entry[0]: entry for entry in snap}
+            return active
 
-    def _snapshot(self, instr: Instr) -> _Access:
-        interp = self.interp
-        version = interp.call_stack_version
-        if version != self._chain_version:
-            self._chain_base = tuple([id(c) for c in interp.call_stack])
-            self._chain_version = version
-        return _Access(
-            chain=self._chain_base + (id(instr),), loops=self._loops_snap
+        def emit(kind: str, loc, first_chain, first_loops, second_chain) -> None:
+            """Record an edge for every loop containing both accesses
+            (the second access is always the current one)."""
+            ctx = active if active is not None else _active()
+            for label, invocation, iteration in first_loops:
+                other = ctx.get(label)
+                if other is None or other[1] != invocation:
+                    continue  # different invocation (or loop not active)
+                w_site = innermost(first_chain, label)
+                if w_site is None:
+                    continue
+                r_site = innermost(second_chain, label)
+                if r_site is None:
+                    continue
+                deps = loop_deps.get(label)
+                if deps is None:
+                    deps = loop_deps[label] = LoopDeps(label)
+                deps.edges.add(
+                    DepEdge(kind, w_site, r_site, other[2] == iteration, loc)
+                )
+
+        def emit_flow(first_chain, first_loops, second_chain) -> None:
+            """:func:`emit` for flow-only profiles, kept separate on the
+            hot path: one (writer, reader) pair per loop, no per-location
+            edge objects."""
+            ctx = active if active is not None else _active()
+            for label, invocation, _iteration in first_loops:
+                other = ctx.get(label)
+                if other is None or other[1] != invocation:
+                    continue
+                w_site = innermost(first_chain, label)
+                if w_site is None:
+                    continue
+                r_site = innermost(second_chain, label)
+                if r_site is None:
+                    continue
+                pairs = flow.get(label)
+                if pairs is None:
+                    pairs = flow[label] = set()
+                pairs.add((w_site, r_site))
+
+        def update_priv(loc, is_write: bool) -> None:
+            for label, invocation, iteration in snap:
+                key = (label, loc)
+                state = priv.get(key)
+                if state is None:
+                    state = priv[key] = [-1, -1, True, 0]
+                if state[0] != invocation or state[1] != iteration:
+                    state[0] = invocation
+                    state[1] = iteration
+                    state[3] += 1
+                    if not is_write:
+                        state[2] = False
+
+        if full:
+
+            def read(loc, site: int) -> None:
+                here = chain + (site,)
+                write = last_write.get(loc)
+                if write is not None:
+                    emit("raw", loc, write[0], write[1], here)
+                pending = reads.get(loc)
+                if pending is None:
+                    reads[loc] = [(here, snap)]
+                elif len(pending) < max_reads:
+                    pending.append((here, snap))
+                else:
+                    pending[-1] = (here, snap)
+                update_priv(loc, False)
+
+            def write(loc, site: int) -> None:
+                here = chain + (site,)
+                prev = last_write.get(loc)
+                if prev is not None:
+                    emit("waw", loc, prev[0], prev[1], here)
+                pending = reads.get(loc)
+                if pending:
+                    for first_chain, first_loops in pending:  # anti deps
+                        emit("war", loc, first_chain, first_loops, here)
+                    reads[loc] = []
+                last_write[loc] = (here, snap)
+                update_priv(loc, True)
+
+        else:
+
+            def read(loc, site: int) -> None:
+                write = last_write.get(loc)
+                if write is not None:
+                    emit_flow(write[0], write[1], chain + (site,))
+
+            def write(loc, site: int) -> None:
+                last_write[loc] = (chain + (site,), snap)
+
+        def call(site: int) -> None:
+            nonlocal chain
+            chain_stack.append(chain)
+            chain = chain + (site,)
+
+        def ret() -> None:
+            nonlocal chain
+            chain = chain_stack.pop()
+
+        def set_chain(new_chain: Tuple[int, ...]) -> None:
+            nonlocal chain
+            chain = new_chain
+
+        def enter(labels: Tuple[str, ...]) -> None:
+            nonlocal snap, active
+            for label in labels:
+                invocation = invocations.get(label, 0)
+                invocations[label] = invocation + 1
+                executed.add(label)
+                if label not in max_trips:
+                    max_trips[label] = 0
+                lstack.append((label, invocation, 0))
+            snap = tuple(lstack)
+            active = None
+
+        def iterate() -> None:
+            nonlocal snap, active
+            label, invocation, iteration = lstack[-1]
+            iteration += 1
+            if iteration > max_trips[label]:
+                max_trips[label] = iteration
+            lstack[-1] = (label, invocation, iteration)
+            snap = tuple(lstack)
+            active = None
+
+        def leave(n: int) -> None:
+            nonlocal snap, active
+            del lstack[len(lstack) - n:]
+            snap = tuple(lstack)
+            active = None
+
+        return _Hooks(
+            read, write, call, ret, set_chain,
+            enter, iterate, leave,
         )
 
+    def codegen_hooks(self) -> Dict[str, Callable]:
+        """Bindings for the names the profiling lowering emits."""
+        hooks = self._hooks
+        return {
+            "_p_read": hooks.read,
+            "_p_write": hooks.write,
+            "_p_call": hooks.call,
+            "_p_ret": hooks.ret,
+            "_p_enter": hooks.enter,
+            "_p_iter": hooks.iterate,
+            "_p_leave": hooks.leave,
+        }
+
+    # -- interpreter observer events --------------------------------------------
+
+    def on_loop_enter(self, label: str, invocation: int) -> None:
+        # The profiler numbers invocations per label exactly like the
+        # interpreter does: one per enter event.
+        self._hooks.enter((label,))
+
+    def on_loop_iteration(self, label: str, invocation: int, iteration: int) -> None:
+        self._hooks.iterate()
+
+    def on_loop_exit(self, label: str, invocation: int) -> None:
+        self._hooks.leave(1)
+
+    def _sync_chain(self) -> None:
+        interp = self.interp
+        if interp.call_stack_version != self._chain_version:
+            index_of = self.registry.index_of
+            self._hooks.set_chain(
+                tuple([index_of[id(c)] for c in interp.call_stack])
+            )
+            self._chain_version = interp.call_stack_version
+
     def on_read(self, loc, instr) -> None:
-        access = self._snapshot(instr)
-        write = self._last_write.get(loc)
-        if write is not None:
-            self._emit_edges("raw", loc, write, access)
-        reads = self._reads.setdefault(loc, [])
-        if len(reads) < self._MAX_READS:
-            reads.append(access)
-        else:
-            reads[-1] = access
-        self._update_priv(loc, access, is_write=False)
+        self._sync_chain()
+        self._hooks.read(loc, self.registry.index_of[id(instr)])
 
     def on_write(self, loc, instr) -> None:
-        access = self._snapshot(instr)
-        prev_write = self._last_write.get(loc)
-        if prev_write is not None:
-            self._emit_edges("waw", loc, prev_write, access)
-        for read in self._reads.get(loc, ()):  # anti dependences
-            self._emit_edges("war", loc, read, access)
-        self._reads[loc] = []
-        self._last_write[loc] = access
-        self._update_priv(loc, access, is_write=True)
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    def _emit_edges(self, kind: str, loc, first: _Access, second: _Access) -> None:
-        """Record an edge for every loop containing both accesses."""
-        second_ctx = {snap[0]: snap for snap in second.loops}
-        for label, invocation, iteration in first.loops:
-            other = second_ctx.get(label)
-            if other is None or other[1] != invocation:
-                continue  # different invocation (or loop not active)
-            w_site = self.registry.innermost_site_in_loop(first.chain, label)
-            r_site = self.registry.innermost_site_in_loop(second.chain, label)
-            if w_site is None or r_site is None:
-                continue
-            deps = self.loop_deps.setdefault(label, LoopDeps(label))
-            deps.edges.add(
-                DepEdge(
-                    kind=kind,
-                    writer=w_site,
-                    reader=r_site,
-                    same_iteration=(other[2] == iteration),
-                    loc=loc,
-                )
-            )
-
-    def _update_priv(self, loc, access: _Access, is_write: bool) -> None:
-        for label, invocation, iteration in access.loops:
-            key = (label, loc)
-            state = self._priv.get(key)
-            if state is None:
-                state = _PrivState()
-                self._priv[key] = state
-            if state.invocation != invocation or state.iteration != iteration:
-                state.invocation = invocation
-                state.iteration = iteration
-                state.iterations_touched += 1
-                state.first_is_write = is_write
-                if not is_write:
-                    state.always_written_first = False
+        self._sync_chain()
+        self._hooks.write(loc, self.registry.index_of[id(instr)])
 
     # -- results ---------------------------------------------------------------
 
+    def _require_full(self, what: str) -> None:
+        if not self.full:
+            raise ValueError(
+                f"{what} needs a full dependence profile "
+                f"(this profiler recorded flow pairs only)"
+            )
+
     def deps_for(self, label: str) -> LoopDeps:
+        self._require_full("deps_for")
         return self.loop_deps.get(label, LoopDeps(label))
 
     def is_privatizable(self, label: str, loc) -> bool:
         """Every iteration of ``label`` touching ``loc`` wrote it first."""
+        self._require_full("is_privatizable")
         state = self._priv.get((label, loc))
         if state is None:
             return True
-        return state.always_written_first
+        return state[2]
+
+    def facts(self) -> Dict[str, object]:
+        """Everything this profile recorded, as plain comparable values.
+
+        Always: ``max_trips``, ``executed`` and the non-empty
+        ``memory_flow`` pairs per loop.  A full profile adds ``edges``
+        (per loop, every edge with its kind, sites, iteration scope and
+        location) and ``privatization`` ((loop, location) -> (always
+        written first, iterations touched)).  Two runs of one program
+        that recorded the same facts compare equal, whichever backend
+        produced the events.
+        """
+        facts: Dict[str, object] = {
+            "max_trips": dict(self.max_trips),
+            "executed": set(self.executed),
+            "memory_flow": {
+                label: pairs
+                for label, pairs in self.memory_flow_edges().items()
+                if pairs
+            },
+        }
+        if self.full:
+            facts["edges"] = {
+                label: set(deps.edges) for label, deps in self.loop_deps.items()
+            }
+            facts["privatization"] = {
+                key: (state[2], state[3]) for key, state in self._priv.items()
+            }
+        return facts
 
     def memory_flow_edges(self) -> Dict[str, Set[Tuple[Site, Site]]]:
-        """Same-invocation flow edges per loop, for iterator recognition."""
+        """Same-invocation flow edges per loop, for iterator recognition.
+
+        A full profile also lists loops that carry only anti/output
+        edges (with an empty set); consumers treat empty and missing
+        alike.
+        """
+        if not self.full:
+            return {label: set(pairs) for label, pairs in self._flow.items()}
         return {
             label: deps.flow_edges_same_invocation()
             for label, deps in self.loop_deps.items()

@@ -105,7 +105,11 @@ from repro.core.schedule_engine import (
     outcome_fails,
 )
 from repro.core.schedules import IdentitySchedule, ScheduleConfig
-from repro.interp.compiler import create_executor, resolve_exec_backend
+from repro.interp.compiler import (
+    create_executor,
+    create_profiling_executor,
+    resolve_exec_backend,
+)
 from repro.interp.interpreter import Interpreter
 from repro.ir.function import Module
 
@@ -192,12 +196,14 @@ class DcaAnalyzer:
         #: the ``REPRO_SCHEDULE_BACKEND`` / ``REPRO_SCHEDULE_JOBS``
         #: environment fallbacks).
         self._engine = engine or create_engine(backend, jobs, clock=clock)
-        #: Execution backend for observer-free runs (golden run, schedule
-        #: replays): ``interp`` or ``compiled`` (closure compilation; see
-        #: :mod:`repro.interp.compiler` and the ``REPRO_EXEC_BACKEND``
-        #: environment fallback).  Observer-bearing executions — the
-        #: dynamic-dependence profiling run, and everything when the
-        #: observability context is enabled — always use the interpreter.
+        #: Execution backend: ``interp``, ``compiled`` (closure
+        #: compilation; see :mod:`repro.interp.compiler`) or ``codegen``
+        #: (Python source; see :mod:`repro.interp.codegen`), with the
+        #: ``REPRO_EXEC_BACKEND`` environment fallback.  The golden run
+        #: and schedule replays use it directly; the dependence-profiling
+        #: run uses codegen's profiling lowering under ``codegen`` and
+        #: the interpreter otherwise.  Everything interprets while the
+        #: observability context is enabled.
         self.exec_backend = resolve_exec_backend(exec_backend)
         #: Testing hook: ``{(loop label, schedule name): fault style}``
         #: fires the named fault inside that schedule's execution.
@@ -308,14 +314,22 @@ class DcaAnalyzer:
     # -- dynamic stage ---------------------------------------------------------
 
     def _profile_memory_flow(self, report: DcaReport) -> None:
-        """One profiled run of the pristine program (iterator recognition)."""
-        profiler = DynamicDepProfiler(self.module)
-        interp = Interpreter(
-            self.module, observers=[profiler], max_steps=self.max_steps
+        """One profiled run of the pristine program (iterator recognition).
+
+        The profile records the anti/output edges and privatization
+        state only when the tiering stage will read them.
+        """
+        profiler = DynamicDepProfiler(self.module, full=self.tiering)
+        executor = create_profiling_executor(
+            self.module,
+            profiler,
+            max_steps=self.max_steps,
+            exec_backend=self.exec_backend,
+            obs_enabled=self._obs.enabled,
         )
-        interp.run(self.entry, self.args)
+        executor.run(self.entry, self.args)
         report.executions += 1
-        report.interp_instructions += interp.steps
+        report.interp_instructions += executor.steps
         #: label -> same-invocation flow edges, kept per loop: an edge
         #: discovered in an enclosing loop's scope must not leak into an
         #: inner loop's slice.

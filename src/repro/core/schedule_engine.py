@@ -297,20 +297,29 @@ def _compiled_for_blob(module_blob: bytes) -> CompiledProgram:
 
 #: Same policy for codegen-compiled programs (see above): one codegen
 #: compile (or disk-artifact load) per worker process per module blob.
-_CODEGEN_BLOB_CACHE: Dict[bytes, object] = {}
+#: Keyed by blob *and* resolved artifact directory, so a program compiled
+#: while persistence was off never hides a missing artifact later.
+_CODEGEN_BLOB_CACHE: Dict[Tuple[bytes, Optional[str]], object] = {}
 
 
 def _codegen_for_blob(module_blob: bytes):
     """Unpickle + codegen-compile a module blob, cached per process."""
-    from repro.interp.codegen import compile_module_codegen
+    from repro.interp.codegen import (
+        compile_module_codegen,
+        resolve_codegen_cache_dir,
+    )
 
-    program = _CODEGEN_BLOB_CACHE.get(module_blob)
+    directory = resolve_codegen_cache_dir(None)
+    key = (module_blob, directory)
+    program = _CODEGEN_BLOB_CACHE.get(key)
     if program is None:
         obs.current().count("schedule.codegen_blob_cache.misses")
-        program = compile_module_codegen(pickle.loads(module_blob))
+        program = compile_module_codegen(
+            pickle.loads(module_blob), cache_dir=directory or ""
+        )
         while len(_CODEGEN_BLOB_CACHE) >= _COMPILED_BLOB_CACHE_MAX:
             _CODEGEN_BLOB_CACHE.pop(next(iter(_CODEGEN_BLOB_CACHE)))
-        _CODEGEN_BLOB_CACHE[module_blob] = program
+        _CODEGEN_BLOB_CACHE[key] = program
     else:
         obs.current().count("schedule.codegen_blob_cache.hits")
     return program

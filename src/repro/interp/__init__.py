@@ -15,6 +15,7 @@ from repro.interp.compiler import (
     CompileError,
     compile_module,
     create_executor,
+    create_profiling_executor,
     resolve_exec_backend,
 )
 from repro.interp.events import Location, LoopCtx, Observer
@@ -49,6 +50,7 @@ __all__ = [
     "compile_module",
     "compile_module_codegen",
     "create_executor",
+    "create_profiling_executor",
     "format_value",
     "module_digest",
     "resolve_codegen_cache_dir",

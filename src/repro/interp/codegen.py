@@ -34,9 +34,16 @@ the running interpreter's bytecode magic and a payload checksum; any
 mismatch or corruption silently falls back to a fresh compile (never to
 wrong results).
 
-Like the closure backend it supports no observers and no profiler;
-:func:`repro.interp.compiler.create_executor` routes those runs (and
-obs-enabled runs) to the tree-walking interpreter.  The
+Like the closure backend it supports no generic observers and no
+instruction profiler; :func:`repro.interp.compiler.create_executor`
+routes those runs (and obs-enabled runs) to the tree-walking
+interpreter.  The one observer-bound run of an analysis, dependence
+profiling, has its own *profiling lowering* (``profiling=True``): the
+:class:`~repro.analysis.dynamic_deps.DynamicDepProfiler` hooks are
+emitted straight into the generated source — memory accesses with a
+baked static site index, call-site push/pop, and loop events resolved
+per CFG edge at compile time — and the artifact is stored under its own
+name (see :func:`repro.interp.compiler.create_profiling_executor`).  The
 :class:`~repro.core.runtime.DcaRuntime` ``fast_intrinsics`` contract is
 honored: when the runtime opts in, the five ``rt_*`` intrinsics call the
 handler methods directly with the label baked as a constant.
@@ -242,7 +249,7 @@ class _FuncEmitter:
     """Lowers one IR function to Python source lines."""
 
     def __init__(self, index: int, func, module: Module, gen_names: Dict[str, str],
-                 sd_idx: Dict[int, int], et_idx: Dict[int, int]):
+                 sd_idx: Dict[int, int], et_idx: Dict[int, int], registry=None):
         self.index = index
         self.func = func
         self.module = module
@@ -258,6 +265,13 @@ class _FuncEmitter:
         self.uses_print = False
         self.has_intrinsics = False
         self.fast_methods: set = set()
+        #: Profiling lowering: a :class:`~repro.analysis.dynamic_deps.
+        #: SiteRegistry` supplying site indices and block -> loop chains.
+        self.registry = registry
+        if registry is not None:
+            self.site = registry.index_of
+            self.chains = registry.block_chains[func.name]
+            self.headers = registry.loop_headers[func.name]
 
     # -- small helpers ------------------------------------------------------
 
@@ -450,6 +464,9 @@ class _FuncEmitter:
         w(1, "_max = _state.max_steps")
         w(1, "_steps = _state.steps")
         w(1, "try:")
+        if self.registry is not None and self.chains[func.entry]:
+            # Function entry: the interpreter's (None -> entry) transition.
+            w(2, f"_p_enter({self.chains[func.entry]!r})")
         if multi:
             w(2, "_b = 0")
             w(2, "while True:")
@@ -478,22 +495,41 @@ class _FuncEmitter:
         w(ind + 1, "raise _MiniC('step limit exceeded')")
         for ins in instrs[:-1]:
             self._emit_instr(ind, ins)
-        self._emit_terminator(ind, instrs[-1])
+        self._emit_terminator(ind, instrs[-1], bname)
 
-    def _goto(self, ind: int, target: str) -> None:
+    def _loop_events(self, ind: int, src: str, target: str) -> None:
+        """Profiling lowering: the interpreter's loop transition for the
+        CFG edge ``src -> target``, resolved statically."""
+        prev, cur = self.chains[src], self.chains[target]
+        if prev == cur:
+            if cur and self.headers.get(target) == cur[-1]:
+                self.w(ind, "_p_iter()")
+            return
+        common = 0
+        limit = min(len(prev), len(cur))
+        while common < limit and prev[common] == cur[common]:
+            common += 1
+        if len(prev) > common:
+            self.w(ind, f"_p_leave({len(prev) - common})")
+        if len(cur) > common:
+            self.w(ind, f"_p_enter({cur[common:]!r})")
+
+    def _goto(self, ind: int, src: str, target: str) -> None:
         """Transfer control to ``target``: inline its code when it has a
         single predecessor, otherwise re-enter the dispatch loop."""
+        if self.registry is not None:
+            self._loop_events(ind, src, target)
         if target in self.inline:
             self._emit_block(ind, target)
         else:
             self.w(ind, f"_b = {self.head_index[target]}")
             self.w(ind, "continue")
 
-    def _emit_terminator(self, ind: int, term) -> None:
+    def _emit_terminator(self, ind: int, term, src: str) -> None:
         t = type(term)
         w = self.w
         if t is Jump:
-            self._goto(ind, term.target)
+            self._goto(ind, src, term.target)
             return
         if t is Branch:
             cond = term.cond
@@ -509,7 +545,7 @@ class _FuncEmitter:
                     w(ind, f"_truthy({_lit(cond.value)})")
                     w(ind, "raise _MiniC('unreachable')")
                 else:
-                    self._goto(ind, taken)
+                    self._goto(ind, src, taken)
                 return
             c = self.reg(cond)
             # The bare `is True` / `is not False` identity tests keep the
@@ -518,12 +554,16 @@ class _FuncEmitter:
             # and _truthy still raises on invalid condition types, both in
             # interpreter order.
             w(ind, f"if {c} is True or ({c} is not False and _truthy({c})):")
-            self._goto(ind + 1, term.true_target)
+            self._goto(ind + 1, src, term.true_target)
             w(ind, "else:")
-            self._goto(ind + 1, term.false_target)
+            self._goto(ind + 1, src, term.false_target)
             return
         if t is Ret:
             value = term.value
+            if self.registry is not None and self.chains[src]:
+                # Unwind this frame's loops: its share of the loop stack
+                # is exactly the returning block's chain.
+                w(ind, f"_p_leave({len(self.chains[src])})")
             if value is None:
                 w(ind, "_state.retval = None")
                 w(ind, "return None")
@@ -560,8 +600,10 @@ class _FuncEmitter:
         elif t is SetField:
             self._emit_setfield(ind, ins)
         elif t is LoadGlobal:
+            self._hook(ind, "_p_read", repr(("g", ins.name)), ins)
             w(ind, f"{self.reg(ins.dest)} = _g[{ins.name!r}]")
         elif t is StoreGlobal:
+            self._hook(ind, "_p_write", repr(("g", ins.name)), ins)
             w(ind, f"_g[{ins.name!r}] = {self.ex(ins.src)}")
         elif t is ArrayLen:
             a = self.ex(ins.arr)
@@ -615,6 +657,12 @@ class _FuncEmitter:
         else:
             raise CompileError(f"unknown unary operator {ins.op}")
 
+    def _hook(self, ind: int, hook: str, loc: str, ins) -> None:
+        """Profiling lowering: report one memory access (location tuple
+        expression ``loc``) at the interpreter's observer point."""
+        if self.registry is not None:
+            self.w(ind, f"{hook}({loc}, {self.site[id(ins)]})")
+
     def _emit_getfield(self, ind: int, ins: GetField) -> None:
         msg = f"null dereference reading .{ins.field} (line {ins.line})"
         if type(ins.obj) is Const:
@@ -624,6 +672,7 @@ class _FuncEmitter:
         o = self.reg(ins.obj)
         self.w(ind, f"if {o} is None:")
         self.w(ind + 1, f"raise _MiniC({msg!r})")
+        self._hook(ind, "_p_read", f"('f', {o}.oid, {ins.field!r})", ins)
         self.w(ind, f"{self.reg(ins.dest)} = {o}.fields[{ins.field!r}]")
 
     def _emit_setfield(self, ind: int, ins: SetField) -> None:
@@ -634,6 +683,7 @@ class _FuncEmitter:
         o = self.reg(ins.obj)
         self.w(ind, f"if {o} is None:")
         self.w(ind + 1, f"raise _MiniC({msg!r})")
+        self._hook(ind, "_p_write", f"('f', {o}.oid, {ins.field!r})", ins)
         # Value is read after the null check (assignment RHS first), like
         # the interpreter.
         self.w(ind, f"{o}.fields[{ins.field!r}] = {self.ex(ins.value)}")
@@ -655,6 +705,7 @@ class _FuncEmitter:
         self.w(ind + 1, f"raise _MiniC({nullmsg!r})")
         self.w(ind, f"_t0 = {a}.data")
         self.w(ind, f"if 0 <= {i} < len(_t0):")
+        self._hook(ind + 1, "_p_read", f"('a', {a}.oid, {i})", ins)
         self.w(ind + 1, f"{self.reg(ins.dest)} = _t0[{i}]")
         self.w(ind, "else:")
         self.w(
@@ -677,6 +728,7 @@ class _FuncEmitter:
         self.w(ind + 1, f"raise _MiniC({nullmsg!r})")
         self.w(ind, f"_t0 = {a}.data")
         self.w(ind, f"if 0 <= {i} < len(_t0):")
+        self._hook(ind + 1, "_p_write", f"('a', {a}.oid, {i})", ins)
         # Value is read after the bounds check (assignment RHS before the
         # subscript store), like the interpreter.
         self.w(ind + 1, f"_t0[{i}] = {self.ex(ins.value)}")
@@ -703,10 +755,14 @@ class _FuncEmitter:
             return
         call = f"{self.gen_names[ins.func]}({', '.join(['_state'] + args)})"
         self.w(ind, "_state.steps = _steps")
+        if self.registry is not None:
+            self.w(ind, f"_p_call({self.site[id(ins)]})")
         if ins.dest is not None:
             self.w(ind, f"{self.reg(ins.dest)} = {call}")
         else:
             self.w(ind, call)
+        if self.registry is not None:
+            self.w(ind, "_p_ret()")
         self.w(ind, "_steps = _state.steps")
 
     def _emit_callbuiltin(self, ind: int, ins: CallBuiltin) -> None:
@@ -771,12 +827,23 @@ class _FuncEmitter:
             self.w(ind, call)
 
 
-def codegen_source(module: Module) -> str:
+def codegen_source(module: Module, profiling: bool = False) -> str:
     """Lower ``module`` to the Python source text the backend compiles.
+
+    ``profiling=True`` selects the profiling lowering: the same code
+    plus the dependence profiler's hooks (memory accesses with their
+    static site index, call-site push/pop, per-edge loop events; see
+    :meth:`repro.analysis.dynamic_deps.DynamicDepProfiler.codegen_hooks`).
 
     Exposed for tests and debugging; :func:`compile_module_codegen` is
     the cached entry point.
     """
+    registry = None
+    if profiling:
+        # Imported lazily: the analysis package imports the interpreter.
+        from repro.analysis.dynamic_deps import SiteRegistry
+
+        registry = SiteRegistry(module)
     _sd, _et, sd_idx, et_idx = _alloc_tables(module)
     gen_names = {
         name: f"_fn_{i}_{_san(name)}"
@@ -784,7 +851,9 @@ def codegen_source(module: Module) -> str:
     }
     lines: List[str] = ["# generated by repro.interp.codegen", ""]
     for i, (name, func) in enumerate(module.functions.items()):
-        emitter = _FuncEmitter(i, func, module, gen_names, sd_idx, et_idx)
+        emitter = _FuncEmitter(
+            i, func, module, gen_names, sd_idx, et_idx, registry
+        )
         lines.extend(emitter.emit())
     return "\n".join(lines) + "\n"
 
@@ -925,33 +994,71 @@ class CodegenFunction:
 
 
 class CodegenProgram:
-    """A codegen-compiled :class:`~repro.ir.function.Module`."""
+    """A codegen-compiled :class:`~repro.ir.function.Module`.
 
-    __slots__ = ("module", "functions")
+    A plain program binds its functions once.  A *profiling* program
+    (see :func:`codegen_source`) keeps its code object and binds fresh
+    functions per run against that run's profiler hooks
+    (:meth:`bind`), so concurrent profiled runs never share state.
+    """
 
-    def __init__(self, module: Module):
+    __slots__ = ("module", "functions", "profiling", "code", "namespace")
+
+    def __init__(self, module: Module, code, namespace: Dict[str, object],
+                 profiling: bool = False):
         self.module = module
+        self.profiling = profiling
+        self.code = code
+        self.namespace = namespace
         self.functions: Dict[str, CodegenFunction] = {}
+
+    def bind(self, hooks: Dict[str, object]) -> Dict[str, CodegenFunction]:
+        """Execute the code object against ``namespace`` + ``hooks``."""
+        ns = dict(self.namespace)
+        ns.update(hooks)
+        exec(self.code, ns)
+        functions: Dict[str, CodegenFunction] = {}
+        for i, (name, func) in enumerate(self.module.functions.items()):
+            pyfunc = ns.get(f"_fn_{i}_{_san(name)}")
+            if not callable(pyfunc):
+                # A stale or foreign artifact that passed the checksum
+                # but does not define this module's functions: recompile.
+                raise CompileError(f"artifact missing function {name!r}")
+            functions[name] = CodegenFunction(name, len(func.params), pyfunc)
+        return functions
 
 
 #: Same shape and policy as the closure backend's module cache: bounded
 #: LRU keyed by ``id(module)`` with an identity guard against id reuse.
-_MODULE_CACHE: "OrderedDict[int, Tuple[Module, CodegenProgram]]" = OrderedDict()
+#: The lowering variant and the resolved artifact directory are part of
+#: the key: a program compiled while persistence was off must not
+#: satisfy a lookup that is expected to leave an artifact on disk.
+_MODULE_CACHE: "OrderedDict[Tuple[int, bool, Optional[str]], Tuple[Module, CodegenProgram]]" = (
+    OrderedDict()
+)
 _MODULE_CACHE_MAX = 64
+
+#: Artifact-name suffix of the profiling lowering (same module digest,
+#: different generated code).
+_PROFILING_SUFFIX = "-profile"
 
 
 def compile_module_codegen(
-    module: Module, cache_dir: Optional[str] = None
+    module: Module, cache_dir: Optional[str] = None, profiling: bool = False
 ) -> CodegenProgram:
     """Lower ``module`` to Python bytecode, once; results are cached.
 
-    In-process results are memoized per module object; across processes
-    the compiled code object is persisted under the module digest (see
+    In-process results are memoized per module object, lowering variant
+    and artifact directory; across processes the compiled code object is
+    persisted under the module digest (see
     :func:`resolve_codegen_cache_dir`; pass ``cache_dir=""`` to disable
-    persistence).  Raises :class:`CompileError` when the module cannot
-    be lowered — callers fall back to the interpreter.
+    persistence).  ``profiling=True`` compiles the profiling lowering
+    (:func:`codegen_source`), stored under its own artifact name.
+    Raises :class:`CompileError` when the module cannot be lowered —
+    callers fall back to the interpreter.
     """
-    key = id(module)
+    directory = resolve_codegen_cache_dir(cache_dir)
+    key = (id(module), profiling, directory)
     entry = _MODULE_CACHE.get(key)
     if entry is not None and entry[0] is module:
         _MODULE_CACHE.move_to_end(key)
@@ -959,7 +1066,7 @@ def compile_module_codegen(
         return entry[1]
 
     try:
-        program = _compile_uncached(module, cache_dir)
+        program = _compile_uncached(module, directory, profiling)
     except CompileError:
         _count("errors", "codegen.compile.errors")
         raise
@@ -973,37 +1080,36 @@ def compile_module_codegen(
     return program
 
 
-def _compile_uncached(module: Module, cache_dir: Optional[str]) -> CodegenProgram:
-    directory = resolve_codegen_cache_dir(cache_dir)
+def _compile_uncached(
+    module: Module, directory: Optional[str], profiling: bool
+) -> CodegenProgram:
     code = None
-    digest = None
+    name = None
     if directory is not None:
-        digest = module_digest(module)
-        code = _load_artifact(directory, digest)
+        name = module_digest(module)
+        if profiling:
+            name += _PROFILING_SUFFIX
+        code = _load_artifact(directory, name)
         if code is not None:
             _count("disk_hits", "codegen.disk_cache.hits")
         else:
             _count("disk_misses", "codegen.disk_cache.misses")
     if code is None:
-        source = codegen_source(module)
+        source = codegen_source(module, profiling=profiling)
         try:
             code = compile(source, "<repro-codegen>", "exec")
         except SyntaxError as exc:  # pragma: no cover - emitter bug guard
             raise CompileError(f"generated source failed to compile: {exc}")
         _count("compiles", "codegen.compile.compiles")
         if directory is not None:
-            _store_artifact(directory, digest, code)
+            _store_artifact(directory, name, code)
 
-    ns = _build_namespace(module)
-    exec(code, ns)
-    program = CodegenProgram(module)
-    for i, (name, func) in enumerate(module.functions.items()):
-        pyfunc = ns.get(f"_fn_{i}_{_san(name)}")
-        if not callable(pyfunc):
-            # A stale or foreign artifact that passed the checksum but
-            # does not define this module's functions: recompile fresh.
-            raise CompileError(f"artifact missing function {name!r}")
-        program.functions[name] = CodegenFunction(name, len(func.params), pyfunc)
+    program = CodegenProgram(module, code, _build_namespace(module), profiling)
+    # Binding checks that the code defines every function; a profiling
+    # program's hooks are unbound globals until a run binds its own.
+    functions = program.bind({})
+    if not profiling:
+        program.functions = functions
     return program
 
 
@@ -1014,12 +1120,16 @@ class CodegenExecutor:
     :class:`~repro.interp.compiler.CompiledExecutor`: ``run``, ``steps``,
     ``globals``, ``heap``, ``output``/``output_text``, ``retval`` and
     ``module`` — everything the DCA runtime and the schedule engine
-    touch.
+    touch.  A profiling program runs with a
+    :class:`~repro.analysis.dynamic_deps.DynamicDepProfiler` (and only
+    with one), which records exactly what the interpreter would report
+    to it as an observer.
     """
 
     __slots__ = (
         "program",
         "module",
+        "functions",
         "heap",
         "globals",
         "runtime",
@@ -1034,11 +1144,23 @@ class CodegenExecutor:
         program,
         runtime: Optional[RuntimeHooks] = None,
         max_steps: Optional[int] = None,
+        profiler=None,
     ):
         if isinstance(program, Module):
-            program = compile_module_codegen(program)
+            program = compile_module_codegen(
+                program, profiling=profiler is not None
+            )
+        if program.profiling != (profiler is not None):
+            raise ValueError(
+                "a profiling program runs with a profiler, and only then"
+            )
         self.program = program
         self.module = program.module
+        self.functions = (
+            program.bind(profiler.codegen_hooks())
+            if profiler is not None
+            else program.functions
+        )
         self.heap = Heap()
         self.globals: Dict[str, object] = {
             name: gv.init for name, gv in self.module.globals.items()
@@ -1050,7 +1172,7 @@ class CodegenExecutor:
         self.retval: object = None
 
     def run(self, entry: str = "main", args: Optional[List[object]] = None) -> object:
-        cf = self.program.functions.get(entry)
+        cf = self.functions.get(entry)
         if cf is None:
             raise MiniCRuntimeError(f"no function named {entry!r}")
         args = list(args or [])

@@ -33,9 +33,11 @@ same surface the runtime touches (``globals``, ``heap``, ``steps``,
 unchanged.
 
 It deliberately supports **no observers and no profiler**: observability-
-bearing paths (dynamic-dependence profiling, ``repro profile``, memory
-and loop observers) always fall back to the tree-walking interpreter —
-:func:`create_executor` encodes that rule.  Reports produced under the
+bearing paths (``repro profile``, memory and loop observers) always fall
+back to the tree-walking interpreter — :func:`create_executor` encodes
+that rule.  Dependence profiling runs on the codegen backend's profiling
+lowering when codegen is selected, and interprets otherwise
+(:func:`create_profiling_executor`).  Reports produced under the
 compiled backend are byte-identical to the interpreter's; the
 differential fuzz harness and ``benchmarks/test_compiled_backend_speedup``
 enforce it.
@@ -97,6 +99,7 @@ __all__ = [
     "CompiledProgram",
     "compile_module",
     "create_executor",
+    "create_profiling_executor",
     "resolve_exec_backend",
 ]
 
@@ -1083,7 +1086,9 @@ def create_executor(
     observability context disabled (the interpreter tallies per-run
     instruction and intrinsic metrics that compiled execution does not
     reproduce).  Everything else — including a module the compiler
-    rejects — gets the tree-walking interpreter.
+    rejects — gets the tree-walking interpreter.  Dependence-profiling
+    runs go through :func:`create_profiling_executor` instead, which
+    keeps them on codegen.
     """
     backend = resolve_exec_backend(exec_backend)
     ctx = obs.current()
@@ -1135,3 +1140,39 @@ def create_executor(
         profiler=profiler,
         max_steps=max_steps,
     )
+
+
+def create_profiling_executor(
+    module: Module,
+    profiler,
+    max_steps: Optional[int] = None,
+    exec_backend: Optional[str] = None,
+    obs_enabled: Optional[bool] = None,
+):
+    """Build the executor for one dependence-profiling run of ``module``.
+
+    Under the codegen backend with the observability context disabled,
+    this is codegen's profiling lowering, which calls ``profiler``'s
+    hooks (a :class:`~repro.analysis.dynamic_deps.DynamicDepProfiler`)
+    from the generated code.  Every other backend, an enabled context,
+    and a module the emitter rejects get the interpreter with
+    ``profiler`` as its observer — the reference implementation the
+    lowering is tested against.
+    """
+    if obs_enabled is None:
+        obs_enabled = obs.current().enabled
+    if resolve_exec_backend(exec_backend) == "codegen" and not obs_enabled:
+        from repro.interp.codegen import (
+            CodegenExecutor,
+            compile_module_codegen,
+        )
+
+        try:
+            return CodegenExecutor(
+                compile_module_codegen(module, profiling=True),
+                max_steps=max_steps,
+                profiler=profiler,
+            )
+        except CompileError:
+            pass
+    return Interpreter(module, observers=[profiler], max_steps=max_steps)

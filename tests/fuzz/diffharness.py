@@ -20,6 +20,10 @@ program:
 3. **Execution accounting** — executed + statically saved + skipped
    schedule executions must cover exactly (1 + testing schedules) per
    eligible loop (see DcaReport.schedules_skipped).
+4. **Profile facts** — the codegen backend's profiling lowering must
+   record exactly the interpreter's dependence facts (edges,
+   privatization, trip counts, steps, fault message), both as a full
+   profile and as the flow-only profile untiered analyses use.
 
 :func:`cache_differential_check` extends the same bar to the persistent
 cache: a cold run populating a fresh cache and a warm run served from it
@@ -45,6 +49,7 @@ from repro.analysis.commutativity import (
     PROVEN_COMMUTATIVE,
     StaticCommutativityAnalysis,
 )
+from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.analysis.specs import default_registry, registry_from_env
 from repro.cache import AnalysisCache
 from repro.core.dca import DcaAnalyzer
@@ -60,6 +65,8 @@ from repro.core.report import (
 )
 from repro.core.schedules import ScheduleConfig
 from repro.driver import compile_program
+from repro.interp.compiler import create_profiling_executor
+from repro.interp.values import MiniCRuntimeError
 
 from fuzzgen import generate_program
 
@@ -67,6 +74,7 @@ __all__ = [
     "accounting_violation",
     "cache_differential_check",
     "differential_check",
+    "profile_parity_check",
     "specs_soundness_check",
     "tier_map",
     "tiering_differential_check",
@@ -194,6 +202,43 @@ def differential_check(
         if violation:
             problems.append(f"{name} {violation}")
 
+    problems.extend(profile_parity_check(source))
+    return problems
+
+
+def _profile(source: str, exec_backend: str, full: bool):
+    """(facts, steps, fault message) of one dependence-profiling run."""
+    module = compile_program(source)
+    profiler = DynamicDepProfiler(module, full=full)
+    executor = create_profiling_executor(
+        module, profiler, exec_backend=exec_backend, obs_enabled=False
+    )
+    try:
+        executor.run()
+        fault = None
+    except MiniCRuntimeError as exc:
+        fault = str(exc)
+    return profiler.facts(), executor.steps, fault
+
+
+def profile_parity_check(
+    source: Optional[str] = None,
+    seed: Optional[int] = None,
+) -> List[str]:
+    """Interpreter vs codegen dependence profiles of one program."""
+    if source is None:
+        source = generate_program(seed)
+    problems: List[str] = []
+    for full in (True, False):
+        kind = "full" if full else "flow-only"
+        ref = _profile(source, "interp", full)
+        got = _profile(source, "codegen", full)
+        for what, a, b in zip(("facts", "steps", "fault"), ref, got):
+            if a != b:
+                problems.append(
+                    f"codegen {kind} profile {what} diverged from interp"
+                    + ("" if what == "facts" else f": {a!r} != {b!r}")
+                )
     return problems
 
 

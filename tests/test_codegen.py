@@ -222,6 +222,25 @@ def test_create_executor_codegen_and_fallback():
     )
 
 
+def test_create_profiling_executor_backend_and_fallback():
+    from repro.analysis.dynamic_deps import DynamicDepProfiler
+    from repro.interp import create_profiling_executor
+
+    module = compile_program("func int main() { return 41 + 1; }")
+
+    def make(**kwargs):
+        return create_profiling_executor(
+            module, DynamicDepProfiler(module), **kwargs
+        )
+
+    assert isinstance(make(exec_backend="codegen", obs_enabled=False),
+                      CodegenExecutor)
+    # Every other backend, and an enabled obs context, interpret.
+    for kwargs in ({"exec_backend": "interp"}, {"exec_backend": "compiled"},
+                   {"exec_backend": "codegen", "obs_enabled": True}):
+        assert isinstance(make(**kwargs), Interpreter)
+
+
 def test_run_program_codegen_backend():
     src = 'func void main() { print("hi", 1 + 1); }'
     assert run_program(src, exec_backend="codegen") == (None, "hi 2\n")
@@ -314,6 +333,88 @@ def test_disk_cache_tamper_recompiles_never_wrong(tmp_path, tamper):
     assert executor.output_text() == "72\n"
     # The rewrite repaired the artifact for the next cold process.
     assert open(path, "rb").read() == blob
+
+
+def test_memo_from_unpersisted_compile_still_writes_artifact(
+    tmp_path, monkeypatch
+):
+    # A program compiled while persistence was off must not satisfy a
+    # later lookup once an artifact directory is configured: that lookup
+    # has to leave the artifact on disk for the next process.
+    import pickle
+
+    from repro.core.schedule_engine import _codegen_for_blob
+
+    monkeypatch.delenv(CODEGEN_CACHE_ENV, raising=False)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    module = _fresh(SRC)
+    blob = pickle.dumps(_fresh(SRC.replace("i < 9", "i < 7")))
+    compile_module_codegen(module)
+    _codegen_for_blob(blob)
+    monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path))
+    compile_module_codegen(module)
+    _codegen_for_blob(blob)
+    assert os.path.exists(_artifact_path(str(tmp_path), module_digest(module)))
+    assert os.path.exists(
+        _artifact_path(str(tmp_path), module_digest(pickle.loads(blob)))
+    )
+
+
+def test_profiling_lowering_has_its_own_artifact(tmp_path):
+    cache_dir = str(tmp_path)
+    plain = compile_module_codegen(_fresh(SRC), cache_dir=cache_dir)
+    before = dict(codegen_stats())
+    profiling = compile_module_codegen(
+        _fresh(SRC), cache_dir=cache_dir, profiling=True
+    )
+    mid = dict(codegen_stats())
+    assert mid["compiles"] - before["compiles"] == 1
+    assert profiling.profiling and not plain.profiling
+    digest = module_digest(_fresh(SRC))
+    assert os.path.exists(_artifact_path(cache_dir, digest + "-profile"))
+    assert "_p_enter" in codegen_source(_fresh(SRC), profiling=True)
+    assert "_p_" not in codegen_source(_fresh(SRC))
+
+    # Warm: both variants load from disk, nothing recompiles.
+    compile_module_codegen(_fresh(SRC), cache_dir=cache_dir)
+    compile_module_codegen(_fresh(SRC), cache_dir=cache_dir, profiling=True)
+    after = dict(codegen_stats())
+    assert after["compiles"] == mid["compiles"]
+    assert after["disk_hits"] - mid["disk_hits"] == 2
+
+    # A profiling program runs with a profiler, and only then.
+    from repro.analysis.dynamic_deps import DynamicDepProfiler
+
+    with pytest.raises(ValueError):
+        CodegenExecutor(profiling)
+    with pytest.raises(ValueError):
+        CodegenExecutor(plain, profiler=DynamicDepProfiler(plain.module))
+    profiler = DynamicDepProfiler(profiling.module)
+    executor = CodegenExecutor(profiling, profiler=profiler)
+    assert executor.run("main", []) == 72
+    assert profiler.max_trips == {"main.L0": 9}
+
+
+def test_analyzer_profiles_on_codegen_and_tiering_picks_full_profile():
+    # Untiered codegen analyses profile on the codegen lowering and keep
+    # flow pairs only; tiering keeps the full profile for its SCC-DAG.
+    src = open(next(p for p in CORPUS if "chase_cursor" in p)).read()
+    reports = {}
+    for tiering in (False, True):
+        analyzer = DcaAnalyzer(
+            compile_program(src), static_filter=False, clock=_zero,
+            exec_backend="codegen", tiering=tiering,
+        )
+        reports[tiering] = analyzer.analyze()
+        assert analyzer._dep_profiler.full is tiering
+    interp = DcaAnalyzer(
+        compile_program(src), static_filter=False, clock=_zero,
+        exec_backend="interp", tiering=True,
+    ).analyze()
+    assert reports[True].to_json() == interp.to_json()
+    assert {l: r.verdict for l, r in reports[False].results.items()} == {
+        l: r.verdict for l, r in interp.results.items()
+    }
 
 
 def test_codegen_source_is_deterministic():
