@@ -19,7 +19,7 @@ environment beats defaults.  Concretely (unit-tested in
   ``REPRO_SCHEDULE_BACKEND``, then process implied by
   ``REPRO_SCHEDULE_JOBS > 1``, then serial.
 * ``exec_backend`` — explicit value, then ``REPRO_EXEC_BACKEND``, then
-  the interpreter.
+  codegen.
 * ``cache_dir`` — explicit value, then ``REPRO_CACHE_DIR``, then
   disabled.
 
@@ -55,52 +55,14 @@ from repro.core.dca import DcaAnalyzer
 from repro.core.report import DcaReport
 from repro.core.schedule_engine import resolve_schedule_backend
 from repro.core.schedules import ScheduleConfig
-from repro.interp.compiler import EXEC_BACKENDS, resolve_exec_backend
+from repro.interp.backend import EXEC_BACKENDS, resolve_exec_backend
 from repro.ir.function import Module
 
 __all__ = [
     "AnalysisConfig",
     "AnalysisSession",
     "DetectOutcome",
-    "legacy_report_dict",
 ]
-
-
-def legacy_report_dict(data: Dict[str, object]) -> Dict[str, object]:
-    """Flatten a schema-2 report dict back to the schema-1 shape.
-
-    Deprecated compatibility shim for ``--json`` consumers that still
-    expect the flat per-loop ``verdict`` string: strips
-    ``report_schema_version``/``tier_counts`` and replaces each loop's
-    structured verdict object with its ``value``.  Schema-1 input passes
-    through unchanged (minus the warning).  Migrate to the structured
-    ``verdict`` object — this shim is scheduled for removal one release
-    after tiering ships.
-    """
-    import warnings
-
-    warnings.warn(
-        "legacy_report_dict() is a one-release compatibility shim; "
-        "read the structured per-loop 'verdict' object instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    out = {
-        key: value
-        for key, value in data.items()
-        if key not in ("report_schema_version", "tier_counts")
-    }
-    loops = out.get("loops")
-    if isinstance(loops, dict):
-        flat_loops = {}
-        for label, loop in loops.items():
-            loop = dict(loop)
-            verdict = loop.get("verdict")
-            if isinstance(verdict, dict):
-                loop["verdict"] = verdict.get("value")
-            flat_loops[label] = loop
-        out["loops"] = flat_loops
-    return out
 
 
 @dataclass(frozen=True)
@@ -135,7 +97,7 @@ class AnalysisConfig:
     backend: Optional[str] = None
     jobs: Optional[int] = None
     #: Execution backend for observer-free runs (one of
-    #: :data:`repro.interp.compiler.EXEC_BACKENDS`).
+    #: :data:`repro.interp.backend.EXEC_BACKENDS`).
     exec_backend: Optional[str] = None
     #: Record spans/metrics/events during session operations.
     obs: bool = False
@@ -174,7 +136,10 @@ class AnalysisConfig:
         # accepts, or the documented explicit-beats-env precedence
         # silently inverts for backends missing from the copy.
         if self.exec_backend is not None and self.exec_backend not in EXEC_BACKENDS:
-            raise ValueError(f"unknown exec backend {self.exec_backend!r}")
+            raise ValueError(
+                f"unknown exec backend {self.exec_backend!r}; "
+                f"expected one of {EXEC_BACKENDS}"
+            )
         if self.max_pipeline_stages < 2:
             raise ValueError("max_pipeline_stages must be >= 2")
         # Frozen dataclasses hash by field tuple; normalize silently

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 #: Version of the execution semantics the cached verdicts were produced
-#: under.  Bump whenever interpreter/compiled-backend semantics, the
+#: under.  Bump whenever interpreter/codegen-backend semantics, the
 #: snapshot digest algorithm, or the verdict decision procedure changes
 #: in a way that could alter a cached payload; stores created under a
 #: different version are purged wholesale on open.

@@ -18,9 +18,9 @@ strict|eventual``, ``--cores N`` (adds a simulated speedup to analyze),
 the static pre-screen and run every loop dynamically), ``--backend
 serial|process`` / ``--jobs N`` (fan schedule executions out to worker
 processes; ``--jobs N`` alone implies the process backend),
-``--exec-backend interp|compiled|codegen`` (closure-compile or
-Python-source-compile observer-free executions instead of tree-walking
-them; env ``REPRO_EXEC_BACKEND``).
+``--exec-backend codegen|interp`` (Python-source-compile observer-free
+executions, the default, or tree-walk them on the reference
+interpreter; env ``REPRO_EXEC_BACKEND``).
 
 Flags always beat the matching ``REPRO_*`` environment variables (see
 ``repro.api`` for the full precedence order).
@@ -60,7 +60,7 @@ import sys
 from typing import List, Optional
 
 from repro.driver import compile_program, run_program
-from repro.interp.compiler import EXEC_BACKENDS
+from repro.interp.backend import EXEC_BACKENDS, resolve_exec_backend
 
 
 def _read(path: str) -> str:
@@ -704,9 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exec-backend", choices=EXEC_BACKENDS,
                        default=None, dest="exec_backend",
                        help="execution backend for observer-free runs: "
-                            "tree-walking interpreter, closure-compiled, "
-                            "or Python-source codegen "
-                            "(default: interp, or REPRO_EXEC_BACKEND)")
+                            "reference tree-walking interpreter or "
+                            "Python-source codegen "
+                            "(default: codegen, or REPRO_EXEC_BACKEND)")
 
     def engine_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--backend", choices=("serial", "process"), default=None,
@@ -991,7 +991,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Subcommands that execute programs read REPRO_EXEC_BACKEND and
+    # REPRO_SCHEDULE_BACKEND; a bad value there is a usage error, not a
+    # traceback from deep inside the run.
+    verify = getattr(args, "cache_command", None) == "verify"
+    try:
+        if verify or hasattr(args, "exec_backend"):
+            resolve_exec_backend(getattr(args, "exec_backend", None))
+        if verify or hasattr(args, "backend"):
+            from repro.core.schedule_engine import resolve_schedule_backend
+
+            resolve_schedule_backend(
+                getattr(args, "backend", None), getattr(args, "jobs", None)
+            )
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.func(args)
 
 

@@ -105,7 +105,7 @@ from repro.core.schedule_engine import (
     outcome_fails,
 )
 from repro.core.schedules import IdentitySchedule, ScheduleConfig
-from repro.interp.compiler import (
+from repro.interp.backend import (
     create_executor,
     create_profiling_executor,
     resolve_exec_backend,
@@ -196,10 +196,10 @@ class DcaAnalyzer:
         #: the ``REPRO_SCHEDULE_BACKEND`` / ``REPRO_SCHEDULE_JOBS``
         #: environment fallbacks).
         self._engine = engine or create_engine(backend, jobs, clock=clock)
-        #: Execution backend: ``interp``, ``compiled`` (closure
-        #: compilation; see :mod:`repro.interp.compiler`) or ``codegen``
-        #: (Python source; see :mod:`repro.interp.codegen`), with the
-        #: ``REPRO_EXEC_BACKEND`` environment fallback.  The golden run
+        #: Execution backend: ``codegen`` (Python source; see
+        #: :mod:`repro.interp.codegen`) or ``interp`` (the reference
+        #: interpreter), with the ``REPRO_EXEC_BACKEND`` environment
+        #: fallback (see :mod:`repro.interp.backend`).  The golden run
         #: and schedule replays use it directly; the dependence-profiling
         #: run uses codegen's profiling lowering under ``codegen`` and
         #: the interpreter otherwise.  Everything interprets while the

@@ -71,7 +71,7 @@ class DcaRuntime(RuntimeHooks):
     """Runtime state for one observed or commutativity-testing execution."""
 
     #: ``handle_intrinsic`` below is a pure name dispatch, so the
-    #: compiled backend may call ``_get``/``_next``/``_record``/
+    #: codegen backend may call ``_get``/``_next``/``_record``/
     #: ``_permute``/``_verify`` directly (see RuntimeHooks).
     fast_intrinsics = True
 

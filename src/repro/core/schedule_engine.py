@@ -70,12 +70,7 @@ from repro.core.liveout import (
 )
 from repro.core.runtime import CommutativityMismatch, DcaRuntime
 from repro.core.schedules import Schedule
-from repro.interp.compiler import (
-    CompiledExecutor,
-    CompiledProgram,
-    CompileError,
-    compile_module,
-)
+from repro.interp.backend import CompileError
 from repro.interp.interpreter import Interpreter
 from repro.interp.values import MiniCRuntimeError
 
@@ -174,11 +169,10 @@ class ScheduleTask:
     obs_enabled: bool = False
     #: Testing hook: one of :data:`FAULT_STYLES`, fired before execution.
     inject_fault: Optional[str] = None
-    #: Execution backend: ``interp`` (tree-walking), ``compiled``
-    #: (closure-compiled) or ``codegen`` (Python-source codegen); the
-    #: compiled tiers fall back to interp whenever observability is
-    #: enabled — they record no per-run obs metrics.
-    exec_backend: str = "interp"
+    #: Execution backend: ``codegen`` (Python-source codegen) or
+    #: ``interp`` (tree-walking); codegen falls back to interp whenever
+    #: observability is enabled — it records no per-run obs metrics.
+    exec_backend: str = "codegen"
 
     @property
     def schedule_name(self) -> str:
@@ -268,38 +262,19 @@ def cancelled_outcome(task: ScheduleTask) -> ScheduleOutcome:
 # Task execution (shared by both backends)
 # ---------------------------------------------------------------------------
 
-#: Per-process cache of closure-compiled modules keyed by the pickled
+#: Per-process cache of codegen-compiled programs keyed by the pickled
 #: module blob.  The same instrumented module executes once per schedule
 #: (and, under ``--backend process``, once per worker × schedule), but
 #: the blob bytes are shared/identical across all of a loop's tasks — so
-#: each worker process compiles (and unpickles) a test module exactly
-#: once and replays the compiled program across every ScheduleTask that
-#: ships the same blob.  Insertion-ordered with FIFO eviction: analyses
-#: sweep loop by loop, so the working set is tiny and recency tracking
-#: would buy nothing.
-_COMPILED_BLOB_CACHE: Dict[bytes, CompiledProgram] = {}
-_COMPILED_BLOB_CACHE_MAX = 128
-
-
-def _compiled_for_blob(module_blob: bytes) -> CompiledProgram:
-    """Unpickle + closure-compile a module blob, cached per process."""
-    program = _COMPILED_BLOB_CACHE.get(module_blob)
-    if program is None:
-        obs.current().count("schedule.blob_cache.misses")
-        program = compile_module(pickle.loads(module_blob))
-        while len(_COMPILED_BLOB_CACHE) >= _COMPILED_BLOB_CACHE_MAX:
-            _COMPILED_BLOB_CACHE.pop(next(iter(_COMPILED_BLOB_CACHE)))
-        _COMPILED_BLOB_CACHE[module_blob] = program
-    else:
-        obs.current().count("schedule.blob_cache.hits")
-    return program
-
-
-#: Same policy for codegen-compiled programs (see above): one codegen
-#: compile (or disk-artifact load) per worker process per module blob.
-#: Keyed by blob *and* resolved artifact directory, so a program compiled
-#: while persistence was off never hides a missing artifact later.
+#: each worker process compiles (or loads the disk artifact of) a test
+#: module exactly once and replays it across every ScheduleTask that
+#: ships the same blob.  Keyed by blob *and* resolved artifact
+#: directory, so a program compiled while persistence was off never
+#: hides a missing artifact later.  Insertion-ordered with FIFO
+#: eviction: analyses sweep loop by loop, so the working set is tiny and
+#: recency tracking would buy nothing.
 _CODEGEN_BLOB_CACHE: Dict[Tuple[bytes, Optional[str]], object] = {}
+_CODEGEN_BLOB_CACHE_MAX = 128
 
 
 def _codegen_for_blob(module_blob: bytes):
@@ -317,7 +292,7 @@ def _codegen_for_blob(module_blob: bytes):
         program = compile_module_codegen(
             pickle.loads(module_blob), cache_dir=directory or ""
         )
-        while len(_CODEGEN_BLOB_CACHE) >= _COMPILED_BLOB_CACHE_MAX:
+        while len(_CODEGEN_BLOB_CACHE) >= _CODEGEN_BLOB_CACHE_MAX:
             _CODEGEN_BLOB_CACHE.pop(next(iter(_CODEGEN_BLOB_CACHE)))
         _CODEGEN_BLOB_CACHE[key] = program
     else:
@@ -358,18 +333,7 @@ def execute_task(
         capture_snapshots=strict,
     )
     interp = None
-    if task.exec_backend == "compiled" and not obs_ctx.enabled:
-        # Compiled replays reuse the per-process program cache; the
-        # executor itself is fresh per task (own heap/globals/output).
-        try:
-            interp = CompiledExecutor(
-                _compiled_for_blob(task.module_blob),
-                runtime=runtime,
-                max_steps=task.max_steps,
-            )
-        except CompileError:
-            interp = None
-    elif task.exec_backend == "codegen" and not obs_ctx.enabled:
+    if task.exec_backend == "codegen" and not obs_ctx.enabled:
         from repro.interp.codegen import CodegenExecutor
 
         try:

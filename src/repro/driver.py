@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import repro.obs as obs
-
 from repro.lang.checker import check
 from repro.lang.parser import parse
 from repro.ir.function import Module
@@ -41,12 +39,11 @@ def run_program(
     """Compile (if needed) and execute a program.
 
     Returns ``(return_value, captured_stdout)``.  ``exec_backend``
-    selects tree-walking interpretation (``interp``, the default), the
-    closure-compiled backend (``compiled``) or the Python-source codegen
-    backend (``codegen``); falls back to the ``REPRO_EXEC_BACKEND``
-    environment variable.
+    selects the Python-source codegen backend (``codegen``, the default)
+    or the reference tree-walking interpreter (``interp``); falls back
+    to the ``REPRO_EXEC_BACKEND`` environment variable.
     """
-    from repro.interp.compiler import create_executor
+    from repro.interp.backend import create_executor
 
     if isinstance(source_or_module, Module):
         module = source_or_module
@@ -57,93 +54,3 @@ def run_program(
     )
     result = interp.run(entry, args or [])
     return result, interp.output_text()
-
-
-def analyze_program(
-    source_or_module,
-    entry: str = "main",
-    args: Optional[List[object]] = None,
-    rtol: float = 1e-9,
-    liveout_policy: str = "strict",
-    static_filter: bool = True,
-    max_steps: Optional[int] = None,
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-):
-    """Deprecated shim: use :class:`repro.api.AnalysisSession.analyze`.
-
-    Kept so pre-``repro.api`` embeddings keep working; new code should
-    construct an :class:`~repro.api.AnalysisConfig` instead of threading
-    kwargs.
-    """
-    import warnings
-
-    from repro.api import AnalysisConfig, AnalysisSession
-
-    warnings.warn(
-        "repro.driver.analyze_program is deprecated; use "
-        "repro.api.AnalysisSession.analyze",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = AnalysisConfig(
-        entry=entry,
-        args=tuple(args or ()),
-        rtol=rtol,
-        liveout_policy=liveout_policy,
-        static_filter=static_filter,
-        max_steps=max_steps,
-        backend=backend,
-        jobs=jobs,
-        exec_backend=exec_backend,
-        cache_mode="off",
-    )
-    with AnalysisSession(config) as session:
-        return session.analyze(source_or_module)
-
-
-def profile_program(
-    source_or_module,
-    entry: str = "main",
-    args: Optional[List[object]] = None,
-    rtol: float = 1e-9,
-    liveout_policy: str = "strict",
-    static_filter: bool = True,
-    max_steps: Optional[int] = None,
-    backend: Optional[str] = None,
-    jobs: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-):
-    """Deprecated shim: use :class:`repro.api.AnalysisSession.profile`.
-
-    Returns ``(report, obs_context)`` exactly as the session method
-    does; if the process-local observability context is not already
-    enabled, a fresh enabled context is installed and the caller owns
-    disabling it.
-    """
-    import warnings
-
-    from repro.api import AnalysisConfig, AnalysisSession
-
-    warnings.warn(
-        "repro.driver.profile_program is deprecated; use "
-        "repro.api.AnalysisSession.profile",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = AnalysisConfig(
-        entry=entry,
-        args=tuple(args or ()),
-        rtol=rtol,
-        liveout_policy=liveout_policy,
-        static_filter=static_filter,
-        max_steps=max_steps,
-        backend=backend,
-        jobs=jobs,
-        exec_backend=exec_backend,
-        obs=True,
-        cache_mode="off",
-    )
-    with AnalysisSession(config) as session:
-        return session.profile(source_or_module)

@@ -1,6 +1,12 @@
-"""Instrumentable IR interpreter, heap model, events, profiler, and the
-closure-compiled and Python-source-codegen execution backends."""
+"""Instrumentable IR interpreter (the reference executor), heap model,
+events, profiler, and the Python-source codegen execution backend."""
 
+from repro.interp.backend import (
+    CompileError,
+    create_executor,
+    create_profiling_executor,
+    resolve_exec_backend,
+)
 from repro.interp.codegen import (
     CodegenExecutor,
     CodegenProgram,
@@ -8,15 +14,6 @@ from repro.interp.codegen import (
     compile_module_codegen,
     module_digest,
     resolve_codegen_cache_dir,
-)
-from repro.interp.compiler import (
-    CompiledExecutor,
-    CompiledProgram,
-    CompileError,
-    compile_module,
-    create_executor,
-    create_profiling_executor,
-    resolve_exec_backend,
 )
 from repro.interp.events import Location, LoopCtx, Observer
 from repro.interp.interpreter import Interpreter, RuntimeHooks
@@ -35,8 +32,6 @@ __all__ = [
     "CodegenExecutor",
     "CodegenProgram",
     "CompileError",
-    "CompiledExecutor",
-    "CompiledProgram",
     "Heap",
     "Interpreter",
     "Location",
@@ -47,7 +42,6 @@ __all__ = [
     "RuntimeHooks",
     "StructObj",
     "codegen_stats",
-    "compile_module",
     "compile_module_codegen",
     "create_executor",
     "create_profiling_executor",

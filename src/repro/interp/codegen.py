@@ -1,9 +1,12 @@
-"""Python-source codegen execution backend.
+"""Python-source codegen execution backend — the default executor.
 
-The closure backend (:mod:`repro.interp.compiler`) removed per-step
-dispatch but still pays one Python call per instruction closure and one
-list index per register access.  This backend goes one tier lower: every
-IR :class:`~repro.ir.function.Function` is lowered to **Python source
+The tree-walking :class:`~repro.interp.interpreter.Interpreter` pays, for
+every executed instruction, a ``type()``-keyed dispatch, an operand
+``Const``-vs-``Reg`` check and a dict lookup per register.  DCA's cost
+model is "one golden run plus one run per testing schedule" (paper
+§IV-B), so the same instrumented module executes many times.  This
+backend compiles once and replays many: every IR
+:class:`~repro.ir.function.Function` is lowered to **Python source
 text** and handed to CPython's own compiler, so replay executes plain
 bytecode:
 
@@ -34,16 +37,17 @@ the running interpreter's bytecode magic and a payload checksum; any
 mismatch or corruption silently falls back to a fresh compile (never to
 wrong results).
 
-Like the closure backend it supports no generic observers and no
-instruction profiler; :func:`repro.interp.compiler.create_executor`
-routes those runs (and obs-enabled runs) to the tree-walking
-interpreter.  The one observer-bound run of an analysis, dependence
-profiling, has its own *profiling lowering* (``profiling=True``): the
+The backend supports no generic observers and no instruction profiler;
+:func:`repro.interp.backend.create_executor` routes those runs (and
+obs-enabled runs) to the tree-walking interpreter, which stays the
+reference implementation.  The one observer-bound run of an analysis,
+dependence profiling, has its own *profiling lowering*
+(``profiling=True``): the
 :class:`~repro.analysis.dynamic_deps.DynamicDepProfiler` hooks are
 emitted straight into the generated source — memory accesses with a
 baked static site index, call-site push/pop, and loop events resolved
 per CFG edge at compile time — and the artifact is stored under its own
-name (see :func:`repro.interp.compiler.create_profiling_executor`).  The
+name (see :func:`repro.interp.backend.create_profiling_executor`).  The
 :class:`~repro.core.runtime.DcaRuntime` ``fast_intrinsics`` contract is
 honored: when the runtime opts in, the five ``rt_*`` intrinsics call the
 handler methods directly with the label baked as a constant.
@@ -62,7 +66,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.cache import resolve_cache_dir
-from repro.interp.compiler import (
+from repro.interp.backend import (
     _RT_GET,
     _RT_NEXT,
     _RT_PERMUTE,
@@ -1028,8 +1032,10 @@ class CodegenProgram:
         return functions
 
 
-#: Same shape and policy as the closure backend's module cache: bounded
-#: LRU keyed by ``id(module)`` with an identity guard against id reuse.
+#: Bounded LRU of compiled programs keyed by ``id(module)`` (Module is
+#: an unhashable dataclass).  Entries hold the module strongly, so
+#: eviction is the only way a cached module dies; the ``entry[0] is
+#: module`` check guards against ``id()`` reuse after eviction.
 #: The lowering variant and the resolved artifact directory are part of
 #: the key: a program compiled while persistence was off must not
 #: satisfy a lookup that is expected to leave an artifact on disk.
@@ -1117,10 +1123,10 @@ class CodegenExecutor:
     """One execution of a codegen-compiled program.
 
     Surface-compatible with
-    :class:`~repro.interp.compiler.CompiledExecutor`: ``run``, ``steps``,
-    ``globals``, ``heap``, ``output``/``output_text``, ``retval`` and
-    ``module`` — everything the DCA runtime and the schedule engine
-    touch.  A profiling program runs with a
+    :class:`~repro.interp.interpreter.Interpreter` for runtime-only
+    runs: ``run``, ``steps``, ``globals``, ``heap``,
+    ``output``/``output_text``, ``retval`` and ``module`` — everything
+    the DCA runtime and the schedule engine touch.  A profiling program runs with a
     :class:`~repro.analysis.dynamic_deps.DynamicDepProfiler` (and only
     with one), which records exactly what the interpreter would report
     to it as an observer.

@@ -180,7 +180,7 @@ def resolve_serve_config(
     """Resolve serve knobs with the repo-wide precedence convention.
 
     Mirrors :func:`repro.core.schedule_engine.resolve_schedule_backend`
-    and :func:`repro.interp.compiler.resolve_exec_backend`: an explicit
+    and :func:`repro.interp.backend.resolve_exec_backend`: an explicit
     argument (CLI flag) beats the environment variable, which beats the
     built-in default.  Environment knobs: ``REPRO_SERVE_HOST``,
     ``REPRO_SERVE_PORT``, ``REPRO_SERVE_QUEUE_DEPTH``,

@@ -7,8 +7,8 @@ program:
 
 1. **Backend equality** — the full JSON report (verdicts, provenance,
    reasons, counters, digests) must be byte-identical between the
-   serial and the process schedule backends AND across all three
-   execution backends: interpreter, closure-compiled, and Python-source
+   serial and the process schedule backends AND across both
+   execution backends: the reference interpreter and Python-source
    codegen (each on both schedule backends).  All runs use a zero clock
    so timing fields cannot differ.
 2. **Static agreement** — where the static prover *proves* a verdict,
@@ -65,7 +65,7 @@ from repro.core.report import (
 )
 from repro.core.schedules import ScheduleConfig
 from repro.driver import compile_program
-from repro.interp.compiler import create_profiling_executor
+from repro.interp.backend import create_profiling_executor
 from repro.interp.values import MiniCRuntimeError
 
 from fuzzgen import generate_program
@@ -123,43 +123,28 @@ def differential_check(
         source = generate_program(seed)
     problems: List[str] = []
 
-    serial = DcaAnalyzer(
-        compile_program(source), static_filter=False, clock=_zero,
-        backend="serial",
-    ).analyze()
-    process = DcaAnalyzer(
-        compile_program(source),
-        static_filter=False,
-        clock=_zero,
-        backend="process",
-        jobs=jobs,
-    ).analyze()
-    # Exec-backend axis: the closure-compiled and codegen backends must
-    # reproduce the interpreter's report byte-for-byte, on both schedule
-    # backends.
-    exec_variants = []
-    for exec_backend in ("compiled", "codegen"):
-        exec_variants.append((
-            f"{exec_backend}-serial",
-            DcaAnalyzer(
-                compile_program(source), static_filter=False, clock=_zero,
-                backend="serial", exec_backend=exec_backend,
-            ).analyze(),
-        ))
-        exec_variants.append((
-            f"{exec_backend}-process",
-            DcaAnalyzer(
-                compile_program(source),
-                static_filter=False,
-                clock=_zero,
-                backend="process",
-                jobs=jobs,
-                exec_backend=exec_backend,
-            ).analyze(),
-        ))
+    def analyze(backend: str, exec_backend: str):
+        return DcaAnalyzer(
+            compile_program(source),
+            static_filter=False,
+            clock=_zero,
+            backend=backend,
+            jobs=jobs if backend == "process" else None,
+            exec_backend=exec_backend,
+        ).analyze()
+
+    # The baseline pins the reference interpreter; codegen must
+    # reproduce its report byte-for-byte on both schedule backends.
+    serial = analyze("serial", "interp")
+    process = analyze("process", "interp")
+    variants = [
+        ("process", process),
+        ("codegen-serial", analyze("serial", "codegen")),
+        ("codegen-process", analyze("process", "codegen")),
+    ]
 
     j_serial = serial.to_json()
-    for name, other in [("process", process)] + exec_variants:
+    for name, other in variants:
         j_other = other.to_json()
         if j_serial != j_other:
             diff = "\n".join(
@@ -385,8 +370,8 @@ def tiering_differential_check(
     The tiering stage recomputes tiers from the dependence profile on
     every run, so the same report-identity bar as
     :func:`differential_check` applies to the schema-2 serialization:
-    serial vs process schedule backends, each under the interpreter,
-    closure-compiled, and codegen execution backends.  Also checks that
+    serial vs process schedule backends, each under the interpreter
+    and codegen execution backends.  Also checks that
     turning tiering ON never changes a verdict — tiers annotate the
     report, they must not perturb the oracle.
     """
@@ -408,8 +393,6 @@ def tiering_differential_check(
     j_tiered = tiered.to_json()
     variants = [
         ("process-interp", ("process", "interp")),
-        ("serial-compiled", ("serial", "compiled")),
-        ("process-compiled", ("process", "compiled")),
         ("serial-codegen", ("serial", "codegen")),
         ("process-codegen", ("process", "codegen")),
     ]

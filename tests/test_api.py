@@ -7,18 +7,15 @@ Covers the three contracts the facade introduces:
   insensitive to backends/jobs/observability/cache policy.
 * Explicit flags always beat the matching ``REPRO_*`` environment
   variables (the documented precedence order).
-* :class:`AnalysisSession` drives analyze/detect/profile end-to-end and
-  the legacy ``repro.driver`` entry points survive as deprecation shims.
+* :class:`AnalysisSession` drives analyze/detect/profile end-to-end.
 """
-
-import warnings
 
 import pytest
 
 import repro.obs as obs
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.core.schedule_engine import resolve_schedule_backend
-from repro.interp.compiler import resolve_exec_backend
+from repro.interp.backend import EXEC_BACKENDS, resolve_exec_backend
 
 PROGRAM = """
 func void main() {
@@ -102,7 +99,7 @@ def test_fingerprint_changes_with_verdict_relevant_knobs(changes):
     "changes",
     [
         {"backend": "process", "jobs": 4},
-        {"exec_backend": "compiled"},
+        {"exec_backend": "interp"},
         {"obs": True},
         {"cache_dir": "/tmp/some-cache", "cache_mode": "refresh"},
         {"entry": "other", "args": (1,)},
@@ -165,8 +162,6 @@ def test_explicit_exec_backend_beats_env(monkeypatch):
     # The explicit argument must beat REPRO_EXEC_BACKEND for every
     # backend pairing — the same precedence contract documented on
     # resolve_schedule_backend.
-    from repro.interp.compiler import EXEC_BACKENDS
-
     for env_choice in EXEC_BACKENDS:
         monkeypatch.setenv("REPRO_EXEC_BACKEND", env_choice)
         assert resolve_exec_backend(None) == env_choice
@@ -174,17 +169,42 @@ def test_explicit_exec_backend_beats_env(monkeypatch):
             assert resolve_exec_backend(explicit) == explicit
 
 
+def test_compiled_exec_backend_is_rejected(capsys):
+    # The retired closure backend's name is an unknown backend like any
+    # other: the explicit argument, the config field and the CLI flag
+    # all reject it and name the valid choices.
+    from repro.cli import main
+
+    for reject in (
+        lambda: resolve_exec_backend("compiled"),
+        lambda: AnalysisConfig(exec_backend="compiled"),
+    ):
+        with pytest.raises(ValueError, match="'compiled'") as exc:
+            reject()
+        assert "('interp', 'codegen')" in str(exc.value)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "examples/array_map.mc", "--exec-backend",
+              "compiled", "--no-cache"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'compiled'" in err
+    assert "interp" in err and "codegen" in err
+
+
 def test_config_resolution_uses_precedence(monkeypatch):
+    monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
+    assert AnalysisConfig().resolved_exec_backend() == "codegen"
     monkeypatch.setenv("REPRO_SCHEDULE_BACKEND", "serial")
-    monkeypatch.setenv("REPRO_EXEC_BACKEND", "compiled")
+    monkeypatch.setenv("REPRO_EXEC_BACKEND", "codegen")
     config = AnalysisConfig(jobs=2, exec_backend="interp")
     assert config.resolved_backend() == ("process", 2)
     assert config.resolved_exec_backend() == "interp"
-    monkeypatch.setenv("REPRO_EXEC_BACKEND", "codegen")
     assert AnalysisConfig().resolved_exec_backend() == "codegen"
+    monkeypatch.setenv("REPRO_EXEC_BACKEND", "interp")
+    assert AnalysisConfig().resolved_exec_backend() == "interp"
     assert AnalysisConfig(
-        exec_backend="compiled"
-    ).resolved_exec_backend() == "compiled"
+        exec_backend="codegen"
+    ).resolved_exec_backend() == "codegen"
 
 
 def test_cache_mode_off_ignores_env_dir(monkeypatch, tmp_path):
@@ -198,12 +218,33 @@ def test_cli_backend_flag_beats_env(monkeypatch, capsys):
     from repro.cli import main
 
     monkeypatch.setenv("REPRO_SCHEDULE_BACKEND", "process")
-    monkeypatch.setenv("REPRO_EXEC_BACKEND", "compiled")
+    monkeypatch.setenv("REPRO_EXEC_BACKEND", "codegen")
     assert main(
         ["analyze", "examples/array_map.mc", "--backend", "serial",
          "--exec-backend", "interp", "--no-cache"]
     ) == 0
     assert "commutative" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "env, message",
+    [
+        ("REPRO_EXEC_BACKEND", "unknown exec backend 'bogus'"),
+        ("REPRO_SCHEDULE_BACKEND", "unknown schedule backend 'bogus'"),
+    ],
+)
+def test_cli_bad_backend_env_is_a_usage_error(monkeypatch, capsys, env, message):
+    # A bad env-derived backend exits 2 with a one-line error, not a
+    # traceback from inside the run.
+    from repro.cli import main
+
+    monkeypatch.setenv(env, "bogus")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "examples/histogram.mc", "--no-cache"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro: error: {message}" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +286,3 @@ def test_session_accepts_module():
         module = session.compile(PROGRAM)
         report = session.analyze(module)
     assert len(report.results) == 2
-
-
-def test_driver_shims_warn_and_work():
-    from repro.driver import analyze_program, profile_program
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = analyze_program(PROGRAM)
-    assert any(w.category is DeprecationWarning for w in caught)
-    assert len(report.results) == 2
-
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report, ctx = profile_program(PROGRAM)
-        assert any(w.category is DeprecationWarning for w in caught)
-        assert ctx.enabled
-        assert len(report.results) == 2
-    finally:
-        obs.disable()

@@ -1,10 +1,13 @@
 """Python-source codegen execution backend: parity with the interpreter.
 
-Same contract as the closure backend (tests/test_compiler.py) — exact
-observable equivalence: results, printed output, step accounting, and
-byte-identical fault messages — plus the codegen-only surface: the
-on-disk artifact cache (warm loads, tamper detection) and pickling of
-codegen tasks into process workers.
+The codegen backend's contract is *exact* observable equivalence with
+the reference tree-walking interpreter — same results, same printed
+output, same step accounting, and byte-identical fault messages.  These
+tests drive both executors over the same programs and compare
+everything, then cover the rest of the backend's surface: the selection
+seam, the per-module compile memo, the on-disk artifact cache (warm
+loads, tamper detection) and pickling of codegen tasks into process
+workers.
 """
 
 import glob
@@ -14,6 +17,7 @@ import os
 import pytest
 
 from repro.core.dca import DcaAnalyzer
+from repro.core.runtime import DcaRuntime
 from repro.driver import compile_program, run_program
 from repro.interp import (
     CodegenExecutor,
@@ -32,11 +36,10 @@ from repro.interp.codegen import (
     codegen_stats,
     resolve_codegen_cache_dir,
 )
-from repro.interp.compiler import EXEC_BACKEND_ENV, EXEC_BACKENDS
+from repro.interp.backend import EXEC_BACKEND_ENV, EXEC_BACKENDS
 from repro.interp.events import Observer
+from repro.interp.interpreter import RuntimeHooks
 from repro.interp.profiler import Profiler
-
-from test_compiler import FAULT_PROGRAMS
 
 CORPUS = sorted(
     glob.glob(
@@ -84,6 +87,39 @@ def test_arithmetic_parity():
     assert kind == "ok" and result == 285
 
 
+def test_heap_program_parity():
+    assert_parity(
+        """
+        struct Node { int value; Node* next; }
+        func int main() {
+            Node* head = null;
+            for (int i = 0; i < 8; i = i + 1) {
+                Node* n = new Node; n.value = i; n.next = head; head = n;
+            }
+            int total = 0;
+            while (head != null) { total = total + head.value; head = head.next; }
+            int[] a = new int[5];
+            for (int i = 0; i < len(a); i = i + 1) { a[i] = total + i; }
+            print(total, a[0], a[4]);
+            return total;
+        }
+        """
+    )
+
+
+def test_step_counts_identical():
+    src = """
+    func int work(int n) {
+        int acc = 0;
+        for (int i = 0; i < n; i = i + 1) { acc = acc + i; }
+        return acc;
+    }
+    func int main() { return work(50) + work(7); }
+    """
+    kind, result, _out, steps = assert_parity(src)
+    assert kind == "ok" and result == 1225 + 21 and steps > 0
+
+
 def test_call_chain_step_parity():
     src = """
     func int leaf(int x) { return x * 3 + 1; }
@@ -99,6 +135,22 @@ def test_call_chain_step_parity():
     codegen = CodegenExecutor(module)
     assert interp.run("main", []) == codegen.run("main", [])
     assert interp.steps == codegen.steps
+
+
+FAULT_PROGRAMS = [
+    ("null deref read", "struct P { int x; }\nfunc int main() { P* p = null; return p.x; }"),
+    ("null deref write", "struct P { int x; }\nfunc void main() { P* p = null; p.x = 1; }"),
+    ("null array read", "func int main() { int[] a = null; return a[0]; }"),
+    ("null array write", "func void main() { int[] a = null; a[0] = 1; }"),
+    ("oob read", "func int main() { int[] a = new int[3]; return a[3]; }"),
+    ("oob write", "func void main() { int[] a = new int[3]; a[0 - 1] = 9; }"),
+    ("int div by zero", "func int main() { int z = 0; return 1 / z; }"),
+    ("int mod by zero", "func int main() { int z = 0; return 1 % z; }"),
+    ("float div by zero", "func float main() { float z = 0.0; return 1.0 / z; }"),
+    ("len of null", "func int main() { int[] a = null; return len(a); }"),
+    ("negative array length", "func void main() { int n = 0 - 2; int[] a = new int[n]; }"),
+    ("builtin domain error", "func float main() { float x = 0.0 - 1.0; return sqrt(x); }"),
+]
 
 
 @pytest.mark.parametrize(
@@ -133,6 +185,13 @@ def test_undefined_register_message_parity():
     }
     """
     assert_parity(src)
+
+
+def test_step_limit_parity():
+    src = "func void main() { while (true) { } }"
+    kind, message, _o, steps = assert_parity(src, max_steps=500)
+    assert kind == "fault"
+    assert message == "step limit exceeded"
 
 
 def test_step_limit_fires_at_same_step():
@@ -184,21 +243,64 @@ def test_missing_entry_and_arity_messages():
     ).run("add", [2, 3])
 
 
+def test_intrinsic_without_runtime_message_parity():
+    # Intrinsics only appear in instrumented modules; fabricate one.
+    from repro.core.instrument import build_observe_module, compute_verify_spec
+    from repro.analysis.purity import EffectAnalysis
+
+    src = """
+    func int main() {
+        int acc = 0;
+        for (int i = 0; i < 4; i = i + 1) { acc = acc + i; }
+        return acc;
+    }
+    """
+    module = compile_program(src)
+    effects = EffectAnalysis(module)
+    label = next(iter(next(iter(module.functions.values())).loops))
+    func = module.functions["main"]
+    specs = {label: compute_verify_spec(module, func, label, effects)}
+    observe = build_observe_module(module, specs)
+    msgs = []
+    for make in (
+        lambda: Interpreter(observe),
+        lambda: CodegenExecutor(observe),
+    ):
+        with pytest.raises(MiniCRuntimeError) as exc:
+            make().run("main", [])
+        msgs.append(str(exc.value))
+    assert msgs[0] == msgs[1]
+    assert "executed without a runtime" in msgs[0]
+
+
+def test_fast_intrinsics_flag_contract():
+    # DcaRuntime opts into direct intrinsic dispatch; the base hook and
+    # any custom runtime default to the handle_intrinsic path.
+    assert DcaRuntime.fast_intrinsics is True
+    assert RuntimeHooks.fast_intrinsics is False
+
+
 # -- backend selection seam --------------------------------------------------
 
 
 def test_codegen_in_exec_backends():
-    assert "codegen" in EXEC_BACKENDS
+    assert EXEC_BACKENDS == ("interp", "codegen")
 
 
 def test_resolve_exec_backend_codegen(monkeypatch):
     monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
-    assert resolve_exec_backend("codegen") == "codegen"
-    monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
     assert resolve_exec_backend(None) == "codegen"
+    assert resolve_exec_backend("interp") == "interp"
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "interp")
+    assert resolve_exec_backend(None) == "interp"
     # Explicit flag beats the env var for every backend.
     for explicit in EXEC_BACKENDS:
         assert resolve_exec_backend(explicit) == explicit
+    with pytest.raises(ValueError):
+        resolve_exec_backend("jit")
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
+    with pytest.raises(ValueError):
+        resolve_exec_backend(None)
 
 
 def test_create_executor_codegen_and_fallback():
@@ -207,7 +309,7 @@ def test_create_executor_codegen_and_fallback():
     assert isinstance(codegen, CodegenExecutor)
     assert codegen.run("main", []) == 42
     # Observers, profilers, and enabled obs need the interpreter's event
-    # stream: codegen falls back exactly like the closure backend.
+    # stream, so codegen falls back to it.
     assert isinstance(
         create_executor(module, observers=[Observer()], exec_backend="codegen"),
         Interpreter,
@@ -235,8 +337,8 @@ def test_create_profiling_executor_backend_and_fallback():
 
     assert isinstance(make(exec_backend="codegen", obs_enabled=False),
                       CodegenExecutor)
-    # Every other backend, and an enabled obs context, interpret.
-    for kwargs in ({"exec_backend": "interp"}, {"exec_backend": "compiled"},
+    # The interp backend and an enabled obs context interpret.
+    for kwargs in ({"exec_backend": "interp"},
                    {"exec_backend": "codegen", "obs_enabled": True}):
         assert isinstance(make(**kwargs), Interpreter)
 
@@ -244,6 +346,7 @@ def test_create_profiling_executor_backend_and_fallback():
 def test_run_program_codegen_backend():
     src = 'func void main() { print("hi", 1 + 1); }'
     assert run_program(src, exec_backend="codegen") == (None, "hi 2\n")
+    assert run_program(src, exec_backend="interp") == (None, "hi 2\n")
 
 
 # -- disk artifact cache -----------------------------------------------------
@@ -417,6 +520,29 @@ def test_analyzer_profiles_on_codegen_and_tiering_picks_full_profile():
     }
 
 
+def test_compile_module_is_cached_per_module():
+    from repro.interp.codegen import _MODULE_CACHE, _MODULE_CACHE_MAX
+
+    module = compile_program("func int main() { return 7; }")
+    program = compile_module_codegen(module, cache_dir="")
+    assert compile_module_codegen(module, cache_dir="") is program
+    key = (id(module), False, None)
+    assert key in _MODULE_CACHE
+    # The LRU is bounded: flooding it with fresh modules evicts ours.
+    keep = []
+    for i in range(_MODULE_CACHE_MAX + 1):
+        other = compile_program(f"func int main() {{ return {i}; }}")
+        keep.append(other)
+        compile_module_codegen(other, cache_dir="")
+    assert key not in _MODULE_CACHE
+    assert len(_MODULE_CACHE) <= _MODULE_CACHE_MAX
+    # Recompilation after eviction still works and re-caches.
+    again = compile_module_codegen(module, cache_dir="")
+    assert again is not program
+    assert CodegenExecutor(again).run("main", []) == 7
+    assert key in _MODULE_CACHE
+
+
 def test_codegen_source_is_deterministic():
     a = codegen_source(compile_program(SRC))
     b = codegen_source(compile_program(SRC))
@@ -459,7 +585,9 @@ def test_codegen_analyzer_report_matches_interp():
         exec_backend="codegen",
     ).analyze()
     assert ri.to_json() == rc.to_json()
-    assert rc.exec_backend == "codegen"
+    # The backend choice is run metadata, never serialized.
+    assert "exec_backend" not in ri.to_json()
+    assert ri.exec_backend == "interp" and rc.exec_backend == "codegen"
 
 
 def test_codegen_pickles_into_process_workers():

@@ -1,44 +1,48 @@
-"""Closure-compiled execution backend: parity with the interpreter.
+"""The executor seam end to end: every compiling backend vs the interpreter.
 
-The compiled backend's contract is *exact* observable equivalence with
-the tree-walking interpreter — same results, same printed output, same
-step accounting, and byte-identical fault messages.  These tests drive
-both backends over the same programs and compare everything.
+``tests/test_codegen.py`` drives :class:`CodegenExecutor` directly.
+These tests instead reach executors only through the public entry
+points that hold the selection policy — :func:`create_executor`,
+:func:`run_program` and ``DcaAnalyzer(exec_backend=...)`` — and check,
+for every backend in :data:`EXEC_BACKENDS` other than the reference
+interpreter, that what the seam hands out compiles the program (no
+silent fallback) and is observably identical to the interpreter: same
+results, printed output, step accounting and fault messages.
 """
+
+import re
 
 import pytest
 
 from repro.core.dca import DcaAnalyzer
-from repro.core.runtime import DcaRuntime
 from repro.driver import compile_program, run_program
 from repro.interp import (
-    CompileError,
-    CompiledExecutor,
     Interpreter,
     MiniCRuntimeError,
-    compile_module,
     create_executor,
     resolve_exec_backend,
 )
-from repro.interp.compiler import (
-    EXEC_BACKEND_ENV,
-    _MODULE_CACHE,
-    _MODULE_CACHE_MAX,
-)
+from repro.interp.backend import EXEC_BACKEND_ENV, EXEC_BACKENDS
 from repro.interp.events import Observer
 from repro.interp.profiler import Profiler
+
+from test_codegen import FAULT_PROGRAMS
+
+#: Every backend the seam can select besides the reference interpreter.
+COMPILING_BACKENDS = tuple(b for b in EXEC_BACKENDS if b != "interp")
 
 
 def _zero():
     return 0.0
 
 
-def _run_both(source, entry="main", args=None, max_steps=None):
-    """Run one program under both backends; return (interp, compiled)."""
-    module = compile_program(source)
-    interp = Interpreter(module, max_steps=max_steps)
-    compiled = CompiledExecutor(module, max_steps=max_steps)
-    return module, interp, compiled, entry, list(args or [])
+def _compiled(module, backend, max_steps=None):
+    """The executor the seam builds for ``backend``; never the fallback."""
+    executor = create_executor(
+        module, max_steps=max_steps, exec_backend=backend, obs_enabled=False
+    )
+    assert not isinstance(executor, Interpreter), backend
+    return executor
 
 
 def _outcome(executor, entry, args):
@@ -50,16 +54,14 @@ def _outcome(executor, entry, args):
 
 
 def assert_parity(source, entry="main", args=None, max_steps=None):
-    module, interp, compiled, entry, args = _run_both(
-        source, entry, args, max_steps
-    )
-    oi = _outcome(interp, entry, list(args))
-    oc = _outcome(compiled, entry, list(args))
-    assert oi == oc, f"backend divergence:\ninterp   {oi}\ncompiled {oc}"
+    module = compile_program(source)
+    oi = _outcome(Interpreter(module, max_steps=max_steps), entry,
+                  list(args or []))
+    for backend in COMPILING_BACKENDS:
+        oc = _outcome(_compiled(module, backend, max_steps), entry,
+                      list(args or []))
+        assert oi == oc, f"divergence:\ninterp  {oi}\n{backend} {oc}"
     return oi
-
-
-# -- result / output / step parity -------------------------------------------
 
 
 def test_arithmetic_parity():
@@ -74,58 +76,6 @@ def test_arithmetic_parity():
         """
     )
     assert kind == "ok" and result == 285
-
-
-def test_heap_program_parity():
-    assert_parity(
-        """
-        struct Node { int value; Node* next; }
-        func int main() {
-            Node* head = null;
-            for (int i = 0; i < 8; i = i + 1) {
-                Node* n = new Node; n.value = i; n.next = head; head = n;
-            }
-            int total = 0;
-            while (head != null) { total = total + head.value; head = head.next; }
-            int[] a = new int[5];
-            for (int i = 0; i < len(a); i = i + 1) { a[i] = total + i; }
-            print(total, a[0], a[4]);
-            return total;
-        }
-        """
-    )
-
-
-def test_step_counts_identical():
-    src = """
-    func int work(int n) {
-        int acc = 0;
-        for (int i = 0; i < n; i = i + 1) { acc = acc + i; }
-        return acc;
-    }
-    func int main() { return work(50) + work(7); }
-    """
-    module, interp, compiled, entry, args = _run_both(src)
-    assert interp.run(entry, args) == compiled.run(entry, args)
-    assert interp.steps == compiled.steps
-
-
-# -- fault parity ------------------------------------------------------------
-
-FAULT_PROGRAMS = [
-    ("null deref read", "struct P { int x; }\nfunc int main() { P* p = null; return p.x; }"),
-    ("null deref write", "struct P { int x; }\nfunc void main() { P* p = null; p.x = 1; }"),
-    ("null array read", "func int main() { int[] a = null; return a[0]; }"),
-    ("null array write", "func void main() { int[] a = null; a[0] = 1; }"),
-    ("oob read", "func int main() { int[] a = new int[3]; return a[3]; }"),
-    ("oob write", "func void main() { int[] a = new int[3]; a[0 - 1] = 9; }"),
-    ("int div by zero", "func int main() { int z = 0; return 1 / z; }"),
-    ("int mod by zero", "func int main() { int z = 0; return 1 % z; }"),
-    ("float div by zero", "func float main() { float z = 0.0; return 1.0 / z; }"),
-    ("len of null", "func int main() { int[] a = null; return len(a); }"),
-    ("negative array length", "func void main() { int n = 0 - 2; int[] a = new int[n]; }"),
-    ("builtin domain error", "func float main() { float x = 0.0 - 1.0; return sqrt(x); }"),
-]
 
 
 @pytest.mark.parametrize(
@@ -143,13 +93,6 @@ def test_fault_messages_include_line_numbers():
     assert "null dereference reading .x (line 3)" == message
 
 
-def test_step_limit_parity():
-    src = "func void main() { while (true) { } }"
-    kind, message, _o, steps = assert_parity(src, max_steps=500)
-    assert kind == "fault"
-    assert message == "step limit exceeded"
-
-
 def test_step_limit_fires_at_same_step():
     src = """
     func int main() {
@@ -163,56 +106,21 @@ def test_step_limit_fires_at_same_step():
     baseline.run("main", [])
     # Any budget below the full run must fault at the identical count.
     for budget in (baseline.steps - 1, baseline.steps // 2, 7):
-        module2, interp, compiled, entry, args = _run_both(
-            src, max_steps=budget
-        )
-        oi = _outcome(interp, entry, [])
-        oc = _outcome(compiled, entry, [])
-        assert oi == oc
-        assert oi[0] == "fault" and oi[1] == "step limit exceeded"
+        kind, message, _o, _s = assert_parity(src, max_steps=budget)
+        assert kind == "fault" and message == "step limit exceeded"
 
 
 def test_missing_entry_and_arity_messages():
-    src = "func int add(int a, int b) { return a + b; }"
-    module = compile_program(src)
-    for make in (lambda: Interpreter(module), lambda: CompiledExecutor(module)):
+    module = compile_program("func int add(int a, int b) { return a + b; }")
+    makers = [lambda: Interpreter(module)] + [
+        (lambda b=b: _compiled(module, b)) for b in COMPILING_BACKENDS
+    ]
+    for make in makers:
         with pytest.raises(MiniCRuntimeError, match=r"no function named 'nope'"):
             make().run("nope", [])
         with pytest.raises(MiniCRuntimeError, match=r"add expects 2 args, got 1"):
             make().run("add", [1])
-    assert Interpreter(module).run("add", [2, 3]) == CompiledExecutor(
-        module
-    ).run("add", [2, 3])
-
-
-def test_intrinsic_without_runtime_message_parity():
-    # Intrinsics only appear in instrumented modules; fabricate one.
-    from repro.core.instrument import build_observe_module, compute_verify_spec
-    from repro.analysis.purity import EffectAnalysis
-
-    src = """
-    func int main() {
-        int acc = 0;
-        for (int i = 0; i < 4; i = i + 1) { acc = acc + i; }
-        return acc;
-    }
-    """
-    module = compile_program(src)
-    effects = EffectAnalysis(module)
-    label = next(iter(next(iter(module.functions.values())).loops))
-    func = module.functions["main"]
-    specs = {label: compute_verify_spec(module, func, label, effects)}
-    observe = build_observe_module(module, specs)
-    msgs = []
-    for make in (
-        lambda: Interpreter(observe),
-        lambda: CompiledExecutor(observe),
-    ):
-        with pytest.raises(MiniCRuntimeError) as exc:
-            make().run("main", [])
-        msgs.append(str(exc.value))
-    assert msgs[0] == msgs[1]
-    assert "executed without a runtime" in msgs[0]
+        assert make().run("add", [2, 3]) == 5
 
 
 # -- backend selection seam --------------------------------------------------
@@ -220,71 +128,80 @@ def test_intrinsic_without_runtime_message_parity():
 
 def test_resolve_exec_backend_explicit_env_default(monkeypatch):
     monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
-    assert resolve_exec_backend(None) == "interp"
-    assert resolve_exec_backend("compiled") == "compiled"
-    monkeypatch.setenv(EXEC_BACKEND_ENV, "compiled")
-    assert resolve_exec_backend(None) == "compiled"
-    assert resolve_exec_backend("interp") == "interp"
-    with pytest.raises(ValueError):
-        resolve_exec_backend("jit")
+    assert resolve_exec_backend(None) == "codegen"
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "  ")
+    assert resolve_exec_backend(None) == "codegen"
+    # Explicit beats env for every (explicit, env) pair; env beats default.
+    for env in EXEC_BACKENDS:
+        monkeypatch.setenv(EXEC_BACKEND_ENV, env)
+        assert resolve_exec_backend(None) == env
+        for explicit in EXEC_BACKENDS:
+            assert resolve_exec_backend(explicit) == explicit
+    # A bad env value is never read when an explicit name is given.
     monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
-    with pytest.raises(ValueError):
+    assert resolve_exec_backend("interp") == "interp"
+    with pytest.raises(ValueError, match="bogus"):
         resolve_exec_backend(None)
+    # The retired closure backend is rejected like any unknown name.
+    for bad in ("compiled", "jit"):
+        with pytest.raises(ValueError, match=re.escape(repr(EXEC_BACKENDS))):
+            resolve_exec_backend(bad)
 
 
-def test_create_executor_backend_and_fallback():
+def test_create_executor_backend_and_fallback(monkeypatch):
+    monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
     module = compile_program("func int main() { return 41 + 1; }")
-    assert isinstance(create_executor(module, exec_backend="interp"), Interpreter)
-    compiled = create_executor(module, exec_backend="compiled")
-    assert isinstance(compiled, CompiledExecutor)
-    assert compiled.run("main", []) == 42
-    # Observers and profilers force the interpreter.
-    assert isinstance(
-        create_executor(module, observers=[Observer()], exec_backend="compiled"),
-        Interpreter,
-    )
-    assert isinstance(
-        create_executor(module, profiler=Profiler(), exec_backend="compiled"),
-        Interpreter,
-    )
-    assert isinstance(
-        create_executor(module, exec_backend="compiled", obs_enabled=True),
-        Interpreter,
-    )
+    reference = create_executor(module, exec_backend="interp")
+    assert type(reference) is Interpreter
+    assert reference.run("main", []) == 42
+    # The default is a compiling backend.
+    default = create_executor(module, obs_enabled=False)
+    assert not isinstance(default, Interpreter)
+    assert default.run("main", []) == 42
+    for backend in COMPILING_BACKENDS:
+        assert _compiled(module, backend).run("main", []) == 42
+        # Observers, profilers and enabled obs need the interpreter's
+        # event stream, whichever backend was asked for.
+        for kwargs in ({"observers": [Observer()]},
+                       {"profiler": Profiler()},
+                       {"obs_enabled": True}):
+            fallback = create_executor(module, exec_backend=backend, **kwargs)
+            assert type(fallback) is Interpreter, (backend, kwargs)
+            assert fallback.run("main", []) == 42
 
 
-def test_run_program_exec_backend_threading():
+def test_run_program_exec_backend_threading(monkeypatch):
+    monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
     src = 'func void main() { print("hi", 1 + 1); }'
-    r_interp = run_program(src, exec_backend="interp")
-    r_compiled = run_program(src, exec_backend="compiled")
-    assert r_interp == r_compiled == (None, "hi 2\n")
-
-
-def test_compile_module_is_cached_per_module():
-    module = compile_program("func int main() { return 7; }")
-    assert compile_module(module) is compile_module(module)
-    key = id(module)
-    assert key in _MODULE_CACHE
-    # The LRU is bounded: flooding it with fresh modules evicts ours.
-    keep = []
-    for i in range(_MODULE_CACHE_MAX + 1):
-        other = compile_program(f"func int main() {{ return {i}; }}")
-        keep.append(other)
-        compile_module(other)
-    assert key not in _MODULE_CACHE
-    assert len(_MODULE_CACHE) <= _MODULE_CACHE_MAX
-    # Recompilation after eviction still works and re-caches.
-    assert compile_module(module).functions["main"] is not None
-    assert id(module) in _MODULE_CACHE
+    expected = (None, "hi 2\n")
+    assert run_program(src) == expected
+    for backend in EXEC_BACKENDS:
+        assert run_program(src, exec_backend=backend) == expected
+        monkeypatch.setenv(EXEC_BACKEND_ENV, backend)
+        assert run_program(src) == expected
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "compiled")
+    with pytest.raises(ValueError):
+        run_program(src)
+    # The step budget reaches the executor on every backend.
+    spin = "func void main() { while (true) { } }"
+    for backend in EXEC_BACKENDS:
+        with pytest.raises(MiniCRuntimeError, match="step limit exceeded"):
+            run_program(spin, max_steps=200, exec_backend=backend)
 
 
 def test_compiled_analyzer_report_matches_interp():
     src = """
+    struct Node { int value; Node* next; }
     func int main() {
         int[] data = new int[16];
         int acc = 0;
         for (int i = 0; i < len(data); i = i + 1) { data[i] = i * 3; }
         for (int i = 0; i < len(data); i = i + 1) { acc = acc + data[i]; }
+        Node* head = null;
+        for (int i = 0; i < 6; i = i + 1) {
+            Node* n = new Node; n.value = i; n.next = head; head = n;
+        }
+        while (head != null) { acc = acc + head.value; head = head.next; }
         print(acc);
         return acc;
     }
@@ -293,20 +210,11 @@ def test_compiled_analyzer_report_matches_interp():
         compile_program(src), static_filter=False, clock=_zero,
         exec_backend="interp",
     ).analyze()
-    rc = DcaAnalyzer(
-        compile_program(src), static_filter=False, clock=_zero,
-        exec_backend="compiled",
-    ).analyze()
-    assert ri.to_json() == rc.to_json()
-    # The backend choice is run metadata, never serialized.
-    assert "exec_backend" not in ri.to_json()
-    assert ri.exec_backend == "interp" and rc.exec_backend == "compiled"
-
-
-def test_fast_intrinsics_flag_contract():
-    # DcaRuntime opts into direct intrinsic dispatch; the base hook and
-    # any custom runtime default to the handle_intrinsic path.
-    from repro.interp.interpreter import RuntimeHooks
-
-    assert DcaRuntime.fast_intrinsics is True
-    assert RuntimeHooks.fast_intrinsics is False
+    assert ri.exec_backend == "interp"
+    for backend in COMPILING_BACKENDS:
+        rc = DcaAnalyzer(
+            compile_program(src), static_filter=False, clock=_zero,
+            exec_backend=backend,
+        ).analyze()
+        assert rc.exec_backend == backend
+        assert ri.to_json() == rc.to_json()

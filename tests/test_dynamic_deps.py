@@ -15,7 +15,7 @@ from repro import compile_program
 from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.benchsuite import ALL_BENCHMARKS
 from repro.interp.codegen import CodegenExecutor
-from repro.interp.compiler import create_profiling_executor
+from repro.interp.backend import create_profiling_executor
 from repro.interp.interpreter import Interpreter
 from repro.interp.values import MiniCRuntimeError
 
