@@ -41,7 +41,6 @@ off, unit-pinned like ``resolve_schedule_backend``.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -54,6 +53,7 @@ from repro.analysis.reductions import (
     POINTER_CHASE,
     LoopIdioms,
 )
+from repro.env import env_flag
 from repro.ir.function import Function
 
 __all__ = [
@@ -105,9 +105,6 @@ SCC_SEQUENTIAL = "sequential"
 #: Environment fallback for the tiering switch (explicit config wins).
 TIERING_ENV = "REPRO_TIERING"
 
-#: Truthy spellings accepted from the environment.
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
 DEFAULT_MAX_PIPELINE_STAGES = 4
 
 
@@ -115,8 +112,7 @@ def resolve_tiering(explicit: Optional[bool] = None) -> bool:
     """Whether the pipeline tier runs: explicit > ``REPRO_TIERING`` > off."""
     if explicit is not None:
         return bool(explicit)
-    env = os.environ.get(TIERING_ENV, "").strip().lower()
-    return env in _TRUTHY
+    return bool(env_flag(TIERING_ENV))
 
 
 def tier_display(tier: Optional[str], plan: Optional[Dict] = None) -> str:

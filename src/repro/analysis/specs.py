@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import repro.obs as obs
 from repro.analysis.alias import PointsTo
 from repro.analysis.purity import EffectAnalysis
+from repro.env import env_flag
 from repro.ir.function import Function, Module
 from repro.ir.instructions import (
     BinOp,
@@ -85,7 +85,6 @@ __all__ = [
     "default_registry",
     "recognize_chain_inserts",
     "registry_from_env",
-    "specs_env_enabled",
 ]
 
 #: Equivalence classes for snapshot comparison (Koskinen & Bansal's
@@ -321,17 +320,10 @@ def default_registry() -> SpecRegistry:
     return SpecRegistry(tuple(specs))
 
 
-def specs_env_enabled() -> Optional[bool]:
-    """Tri-state REPRO_SPECS: None (unset), False, or True."""
-    raw = os.environ.get("REPRO_SPECS")
-    if raw is None:
-        return None
-    return raw.strip().lower() not in ("", "0", "false", "no", "off")
-
-
 def registry_from_env() -> Optional[SpecRegistry]:
-    """The default registry iff REPRO_SPECS enables specs, else None."""
-    return default_registry() if specs_env_enabled() else None
+    """The default registry iff REPRO_SPECS enables specs, else None
+    (:func:`repro.env.env_flag` parses the switch)."""
+    return default_registry() if env_flag("REPRO_SPECS") else None
 
 
 # -- chain-insert recognizer ---------------------------------------------------

@@ -284,11 +284,9 @@ class AnalysisSession:
         """The open :class:`~repro.cache.AnalysisCache`, or None."""
         if not self._cache_opened:
             self._cache_opened = True
-            mode = self.config.cache_mode
-            if mode != "off":
-                self._cache = open_cache(
-                    self.config.resolved_cache_dir(), mode=mode
-                )
+            self._cache = open_cache(
+                self.config.cache_dir, mode=self.config.cache_mode
+            )
         return self._cache
 
     @property

@@ -50,10 +50,12 @@ __all__ = [
 
 
 def resolve_cache_dir(cache_dir: Optional[str] = None) -> Optional[str]:
-    """Resolve the cache directory: explicit argument, then the
-    ``REPRO_CACHE_DIR`` environment variable, then disabled (None)."""
+    """Resolve the cache directory: explicit argument (an empty or blank
+    string disables), then the ``REPRO_CACHE_DIR`` environment variable,
+    then disabled (None)."""
     if cache_dir is not None:
-        return os.path.expanduser(cache_dir)
+        cache_dir = cache_dir.strip()
+        return os.path.expanduser(cache_dir) if cache_dir else None
     env = os.environ.get(CACHE_DIR_ENV, "").strip()
     return os.path.expanduser(env) if env else None
 

@@ -60,6 +60,7 @@ import sys
 from typing import List, Optional
 
 from repro.driver import compile_program, run_program
+from repro.env import env_flag
 from repro.interp.backend import EXEC_BACKENDS, resolve_exec_backend
 
 
@@ -994,8 +995,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Subcommands that execute programs read REPRO_EXEC_BACKEND and
-    # REPRO_SCHEDULE_BACKEND; a bad value there is a usage error, not a
-    # traceback from deep inside the run.
+    # REPRO_SCHEDULE_BACKEND, and those with --specs/--tiering read
+    # REPRO_SPECS/REPRO_TIERING when the flag is absent; a bad value
+    # there is a usage error, not a traceback from deep inside the run.
     verify = getattr(args, "cache_command", None) == "verify"
     try:
         if verify or hasattr(args, "exec_backend"):
@@ -1006,6 +1008,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             resolve_schedule_backend(
                 getattr(args, "backend", None), getattr(args, "jobs", None)
             )
+        for flag in ("specs", "tiering"):
+            if getattr(args, flag, True) is None:
+                env_flag(f"REPRO_{flag.upper()}")
     except ValueError as exc:
         parser.error(str(exc))
     return args.func(args)

@@ -110,6 +110,7 @@ from repro.interp.backend import (
     create_profiling_executor,
     resolve_exec_backend,
 )
+from repro.interp.codegen import module_digest
 from repro.interp.interpreter import Interpreter
 from repro.ir.function import Module
 
@@ -763,8 +764,10 @@ class DcaAnalyzer:
 
         strict = self.liveout_policy == "strict"
         #: One pickle shared by every task of this loop; each execution
-        #: rehydrates a private module copy.
+        #: rehydrates a private module copy unless the codegen backend
+        #: already holds the compiled program of this digest.
         module_blob = pickle.dumps(instrumented.module)
+        digest = module_digest(instrumented.module)
         global_names = sorted(self.module.globals)
         plan = LoopPlan(
             label=label, expected_invocations=self._golden_counts[label]
@@ -782,6 +785,7 @@ class DcaAnalyzer:
                     schedule=schedule,
                     spec=spec,
                     module_blob=module_blob,
+                    module_digest=digest,
                     global_names=global_names,
                     golden=list(golden.get(label, [])) if strict else None,
                     golden_outcome=None if strict else self._golden_outcome,

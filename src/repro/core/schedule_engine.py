@@ -7,7 +7,7 @@ program, compared against the golden snapshots.  This module factors the
 into picklable **work units** that a backend can run anywhere:
 
 * :class:`ScheduleTask` — one schedule execution: the pickled
-  instrumented test module, the schedule object, the loop's
+  instrumented test module and its digest, the schedule object, the loop's
   :class:`~repro.core.instrument.VerifySpec`, the golden snapshots for
   that loop (strict policy) or the golden program outcome (eventual
   policy), plus the step budget and timing/observability switches.
@@ -153,6 +153,10 @@ class ScheduleTask:
     #: Pickled instrumented test module (shared bytes across the loop's
     #: tasks — unpickling yields a private copy per execution).
     module_blob: bytes
+    #: :func:`~repro.interp.codegen.module_digest` of that module: the
+    #: codegen backend looks its compiled program up by this digest and
+    #: unpickles ``module_blob`` only on a miss.
+    module_digest: str
     #: Sorted global names of the module (eventual-policy outcome roots).
     global_names: List[str]
     #: Golden live-out snapshots for this loop (strict policy only).
@@ -262,44 +266,6 @@ def cancelled_outcome(task: ScheduleTask) -> ScheduleOutcome:
 # Task execution (shared by both backends)
 # ---------------------------------------------------------------------------
 
-#: Per-process cache of codegen-compiled programs keyed by the pickled
-#: module blob.  The same instrumented module executes once per schedule
-#: (and, under ``--backend process``, once per worker × schedule), but
-#: the blob bytes are shared/identical across all of a loop's tasks — so
-#: each worker process compiles (or loads the disk artifact of) a test
-#: module exactly once and replays it across every ScheduleTask that
-#: ships the same blob.  Keyed by blob *and* resolved artifact
-#: directory, so a program compiled while persistence was off never
-#: hides a missing artifact later.  Insertion-ordered with FIFO
-#: eviction: analyses sweep loop by loop, so the working set is tiny and
-#: recency tracking would buy nothing.
-_CODEGEN_BLOB_CACHE: Dict[Tuple[bytes, Optional[str]], object] = {}
-_CODEGEN_BLOB_CACHE_MAX = 128
-
-
-def _codegen_for_blob(module_blob: bytes):
-    """Unpickle + codegen-compile a module blob, cached per process."""
-    from repro.interp.codegen import (
-        compile_module_codegen,
-        resolve_codegen_cache_dir,
-    )
-
-    directory = resolve_codegen_cache_dir(None)
-    key = (module_blob, directory)
-    program = _CODEGEN_BLOB_CACHE.get(key)
-    if program is None:
-        obs.current().count("schedule.codegen_blob_cache.misses")
-        program = compile_module_codegen(
-            pickle.loads(module_blob), cache_dir=directory or ""
-        )
-        while len(_CODEGEN_BLOB_CACHE) >= _CODEGEN_BLOB_CACHE_MAX:
-            _CODEGEN_BLOB_CACHE.pop(next(iter(_CODEGEN_BLOB_CACHE)))
-        _CODEGEN_BLOB_CACHE[key] = program
-    else:
-        obs.current().count("schedule.codegen_blob_cache.hits")
-    return program
-
-
 def execute_task(
     task: ScheduleTask,
     clock: Optional[Callable[[], float]] = None,
@@ -334,13 +300,18 @@ def execute_task(
     )
     interp = None
     if task.exec_backend == "codegen" and not obs_ctx.enabled:
-        from repro.interp.codegen import CodegenExecutor
+        from repro.interp.codegen import (
+            CodegenExecutor,
+            cached_codegen_program,
+            compile_module_codegen,
+        )
 
         try:
+            program = cached_codegen_program(
+                task.module_digest
+            ) or compile_module_codegen(pickle.loads(task.module_blob))
             interp = CodegenExecutor(
-                _codegen_for_blob(task.module_blob),
-                runtime=runtime,
-                max_steps=task.max_steps,
+                program, runtime=runtime, max_steps=task.max_steps
             )
         except CompileError:
             interp = None

@@ -28,11 +28,10 @@ bytecode:
   evaluation order; step accounting charges ``len(block.instrs)`` at
   block entry and checks ``max_steps`` before the body runs.
 
-Compilation is memoized per :class:`Module` object, and the compiled
-code object is persisted on disk keyed by the sha256 of
-:func:`repro.ir.printer.format_module` — the same module digest the
-analysis cache uses — so cold corpus programs skip even the source
-generation + ``compile()`` cost.  Artifacts carry a format version,
+Compiled programs are cached by :func:`module_digest` in one bounded
+in-process LRU in front of disk artifacts, so cold corpus programs skip
+even the source generation + ``compile()`` cost.  Artifacts carry a
+format version,
 the running interpreter's bytecode magic and a payload checksum; any
 mismatch or corruption silently falls back to a fresh compile (never to
 wrong results).
@@ -61,6 +60,7 @@ import marshal
 import os
 import re
 import tempfile
+import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -118,11 +118,11 @@ __all__ = [
     "CODEGEN_CACHE_ENV",
     "CodegenExecutor",
     "CodegenProgram",
+    "cached_codegen_program",
     "codegen_source",
     "codegen_stats",
     "compile_module_codegen",
     "module_digest",
-    "reset_codegen_stats",
     "resolve_codegen_cache_dir",
 ]
 
@@ -155,11 +155,6 @@ def codegen_stats() -> Dict[str, int]:
     return dict(_STATS)
 
 
-def reset_codegen_stats() -> None:
-    for key in _STATS:
-        _STATS[key] = 0
-
-
 def _count(stat: str, counter: str) -> None:
     _STATS[stat] += 1
     obs.current().count(counter)
@@ -183,13 +178,16 @@ def _san(name: str) -> str:
 
 
 def module_digest(module: Module) -> str:
-    """The sha256 of the module's canonical printed form.
-
-    This is the module component of the analysis cache's workload digest
-    (:func:`repro.cache.keys.module_workload_digest`), so one printed
-    module maps to exactly one codegen artifact.
+    """The sha256 of the module's canonical printed form (the analysis
+    cache's module basis) plus each instruction's source line, which
+    fault messages carry: one digest maps to exactly one program.
     """
-    return hashlib.sha256(format_module(module).encode("utf-8")).hexdigest()
+    lines = [
+        ins.line for func in module.functions.values()
+        for ins in func.instructions()
+    ]
+    text = f"{format_module(module)}\n{lines!r}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -912,8 +910,7 @@ def resolve_codegen_cache_dir(cache_dir: Optional[str] = None) -> Optional[str]:
     then disabled.
     """
     if cache_dir is not None:
-        cache_dir = cache_dir.strip()
-        return os.path.expanduser(cache_dir) if cache_dir else None
+        return resolve_cache_dir(cache_dir)
     env = os.environ.get(CODEGEN_CACHE_ENV, "").strip()
     if env:
         return os.path.expanduser(env)
@@ -982,7 +979,7 @@ def _store_artifact(cache_dir: str, digest: str, code) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Module compilation (memoized per Module object, persisted per digest)
+# Module compilation (one LRU by module digest, in front of disk)
 # ---------------------------------------------------------------------------
 
 
@@ -1032,21 +1029,41 @@ class CodegenProgram:
         return functions
 
 
-#: Bounded LRU of compiled programs keyed by ``id(module)`` (Module is
-#: an unhashable dataclass).  Entries hold the module strongly, so
-#: eviction is the only way a cached module dies; the ``entry[0] is
-#: module`` check guards against ``id()`` reuse after eviction.
-#: The lowering variant and the resolved artifact directory are part of
-#: the key: a program compiled while persistence was off must not
-#: satisfy a lookup that is expected to leave an artifact on disk.
-_MODULE_CACHE: "OrderedDict[Tuple[int, bool, Optional[str]], Tuple[Module, CodegenProgram]]" = (
-    OrderedDict()
-)
-_MODULE_CACHE_MAX = 64
+#: The one in-process cache of compiled programs: an LRU keyed by (module
+#: digest, profiling) in front of the disk artifacts.  Each entry keeps
+#: the artifact directories known to hold its artifact; a hit under any
+#: other directory writes the cached code there instead of recompiling.
+_PROGRAM_CACHE: "OrderedDict[Tuple[str, bool], tuple]" = OrderedDict()
+_PROGRAM_CACHE_MAX = 128
+#: Serve runs analyses on threads; the LRU's check-then-act needs a lock.
+_PROGRAM_CACHE_LOCK = threading.Lock()
 
 #: Artifact-name suffix of the profiling lowering (same module digest,
 #: different generated code).
 _PROFILING_SUFFIX = "-profile"
+
+
+def cached_codegen_program(
+    digest: str, profiling: bool = False, cache_dir: Optional[str] = None
+) -> Optional[CodegenProgram]:
+    """The cached program of the module with ``digest``, or None; a hit
+    leaves the artifact in the resolved artifact directory (see
+    :func:`resolve_codegen_cache_dir`)."""
+    key = (digest, profiling)
+    with _PROGRAM_CACHE_LOCK:
+        entry = _PROGRAM_CACHE.get(key)
+        if entry is None:
+            return None
+        _PROGRAM_CACHE.move_to_end(key)
+    _count("memo_hits", "codegen.compile.memo_hits")
+    program, directories = entry
+    directory = resolve_codegen_cache_dir(cache_dir)
+    if directory is not None and directory not in directories:
+        name = digest + _PROFILING_SUFFIX if profiling else digest
+        if not os.path.exists(_artifact_path(directory, name)):
+            _store_artifact(directory, name, program.code)
+        directories.add(directory)
+    return program
 
 
 def compile_module_codegen(
@@ -1054,47 +1071,36 @@ def compile_module_codegen(
 ) -> CodegenProgram:
     """Lower ``module`` to Python bytecode, once; results are cached.
 
-    In-process results are memoized per module object, lowering variant
-    and artifact directory; across processes the compiled code object is
-    persisted under the module digest (see
+    Programs are cached by :func:`module_digest` and lowering variant:
+    in process by :func:`cached_codegen_program`, across processes as
+    code objects persisted in the artifact directory (see
     :func:`resolve_codegen_cache_dir`; pass ``cache_dir=""`` to disable
     persistence).  ``profiling=True`` compiles the profiling lowering
     (:func:`codegen_source`), stored under its own artifact name.
     Raises :class:`CompileError` when the module cannot be lowered —
     callers fall back to the interpreter.
     """
-    directory = resolve_codegen_cache_dir(cache_dir)
-    key = (id(module), profiling, directory)
-    entry = _MODULE_CACHE.get(key)
-    if entry is not None and entry[0] is module:
-        _MODULE_CACHE.move_to_end(key)
-        _count("memo_hits", "codegen.compile.memo_hits")
-        return entry[1]
-
     try:
-        program = _compile_uncached(module, directory, profiling)
+        digest = module_digest(module)
+        program = cached_codegen_program(digest, profiling, cache_dir)
+        if program is None:
+            program = _compile_uncached(module, digest, cache_dir, profiling)
     except CompileError:
         _count("errors", "codegen.compile.errors")
         raise
     except Exception as exc:
         _count("errors", "codegen.compile.errors")
         raise CompileError(f"codegen compilation failed: {exc!r}") from exc
-
-    _MODULE_CACHE[key] = (module, program)
-    while len(_MODULE_CACHE) > _MODULE_CACHE_MAX:
-        _MODULE_CACHE.popitem(last=False)
     return program
 
 
 def _compile_uncached(
-    module: Module, directory: Optional[str], profiling: bool
+    module: Module, digest: str, cache_dir: Optional[str], profiling: bool
 ) -> CodegenProgram:
+    directory = resolve_codegen_cache_dir(cache_dir)
+    name = digest + _PROFILING_SUFFIX if profiling else digest
     code = None
-    name = None
     if directory is not None:
-        name = module_digest(module)
-        if profiling:
-            name += _PROFILING_SUFFIX
         code = _load_artifact(directory, name)
         if code is not None:
             _count("disk_hits", "codegen.disk_cache.hits")
@@ -1116,6 +1122,11 @@ def _compile_uncached(
     functions = program.bind({})
     if not profiling:
         program.functions = functions
+    with _PROGRAM_CACHE_LOCK:
+        written = set() if directory is None else {directory}
+        _PROGRAM_CACHE[(digest, profiling)] = (program, written)
+        while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_MAX:
+            _PROGRAM_CACHE.popitem(last=False)
     return program
 
 

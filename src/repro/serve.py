@@ -296,12 +296,9 @@ class AnalysisServer:
         # Shared warm state: one rw cache handle for the process.  The
         # store is multi-thread safe (see cache/store.py); sessions
         # borrow it and never close it.
-        if self.base.cache_mode == "off":
-            self._cache = None
-        else:
-            self._cache = open_cache(
-                self.base.resolved_cache_dir(), mode=self.base.cache_mode
-            )
+        self._cache = open_cache(
+            self.base.cache_dir, mode=self.base.cache_mode
+        )
         self._ledger_dir = self.base.resolved_ledger_dir()
         # Per-request session config: ledger rows are recorded by the
         # server itself (kind="serve-*"), never by inner sessions; a

@@ -445,9 +445,14 @@ def tier_map(source: str) -> Dict[str, Dict[str, object]]:
 
 
 def verdict_map(source: str) -> Dict[str, str]:
-    """Per-loop dynamic verdicts (static filter off) — corpus goldens."""
+    """Per-loop dynamic verdicts (static filter off) — corpus goldens.
+
+    Specs are pinned off: the goldens were recorded without them, and
+    specs turn bag loops commutative (the differential harness still
+    runs the corpus under REPRO_SPECS).
+    """
     report = DcaAnalyzer(
         compile_program(source), static_filter=False, clock=_zero,
-        backend="serial",
+        backend="serial", specs=False,
     ).analyze()
     return {label: report.results[label].verdict for label in sorted(report.results)}

@@ -10,6 +10,8 @@ Covers the three contracts the facade introduces:
 * :class:`AnalysisSession` drives analyze/detect/profile end-to-end.
 """
 
+import os
+
 import pytest
 
 import repro.obs as obs
@@ -213,6 +215,21 @@ def test_cache_mode_off_ignores_env_dir(monkeypatch, tmp_path):
     assert AnalysisConfig(cache_mode="off").resolved_cache_dir() is None
 
 
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_empty_cache_dir_disables_the_cache(monkeypatch, tmp_path, blank):
+    # An explicit empty directory means "no cache" and beats the env, as
+    # it does for the codegen artifact directory.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+    assert AnalysisConfig(cache_dir=blank).resolved_cache_dir() is None
+    monkeypatch.delenv("REPRO_CACHE_DIR")
+    monkeypatch.chdir(tmp_path)
+    with AnalysisSession(AnalysisConfig(cache_dir=blank)) as session:
+        report = session.analyze(PROGRAM)
+        assert session.cache is None
+    assert len(report.results) == 2
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_backend_flag_beats_env(monkeypatch, capsys):
     # End-to-end: the CLI flag must win even with the env var set.
     from repro.cli import main
@@ -231,6 +248,8 @@ def test_cli_backend_flag_beats_env(monkeypatch, capsys):
     [
         ("REPRO_EXEC_BACKEND", "unknown exec backend 'bogus'"),
         ("REPRO_SCHEDULE_BACKEND", "unknown schedule backend 'bogus'"),
+        ("REPRO_SPECS", "REPRO_SPECS='bogus' is not a boolean switch"),
+        ("REPRO_TIERING", "REPRO_TIERING='bogus' is not a boolean switch"),
     ],
 )
 def test_cli_bad_backend_env_is_a_usage_error(monkeypatch, capsys, env, message):

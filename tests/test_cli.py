@@ -41,6 +41,17 @@ def test_cli_analyze(program_file, capsys):
     assert "1/1 loops commutative" in out
 
 
+def test_cli_analyze_empty_cache_dir_runs_uncached(
+    program_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["analyze", program_file, "--cache", ""]) == 0
+    assert "main.L0: commutative" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_cli_analyze_with_cores(program_file, capsys):
     assert main(["analyze", program_file, "--cores", "4"]) == 0
     assert "Simulated on 4 cores" in capsys.readouterr().out

@@ -5,9 +5,9 @@ the reference tree-walking interpreter — same results, same printed
 output, same step accounting, and byte-identical fault messages.  These
 tests drive both executors over the same programs and compare
 everything, then cover the rest of the backend's surface: the selection
-seam, the per-module compile memo, the on-disk artifact cache (warm
-loads, tamper detection) and pickling of codegen tasks into process
-workers.
+seam, the digest-keyed program cache, the on-disk artifact cache
+(warm loads, tamper detection) and pickling of codegen tasks into
+process workers.
 """
 
 import glob
@@ -30,6 +30,8 @@ from repro.interp import (
     resolve_exec_backend,
 )
 from repro.interp.codegen import (
+    _PROGRAM_CACHE,
+    _PROGRAM_CACHE_MAX,
     CODEGEN_CACHE_ENV,
     _artifact_path,
     codegen_source,
@@ -40,6 +42,7 @@ from repro.interp.backend import EXEC_BACKEND_ENV, EXEC_BACKENDS
 from repro.interp.events import Observer
 from repro.interp.interpreter import RuntimeHooks
 from repro.interp.profiler import Profiler
+from repro.ir.printer import format_module
 
 CORPUS = sorted(
     glob.glob(
@@ -357,6 +360,11 @@ def _fresh(src):
     return compile_program(src)
 
 
+def _new_process():
+    """Empty the in-process program cache, as a new process starts."""
+    _PROGRAM_CACHE.clear()
+
+
 SRC = """
 func int main() {
     int acc = 0;
@@ -377,8 +385,8 @@ def test_disk_cache_cold_then_warm(tmp_path):
     digest = module_digest(_fresh(SRC))
     assert os.path.exists(_artifact_path(cache_dir, digest))
 
-    # A fresh module object defeats the id-keyed memo; the digest-keyed
-    # artifact must serve the compile.
+    # In a new process, the digest-keyed artifact serves the compile.
+    _new_process()
     program = compile_module_codegen(_fresh(SRC), cache_dir=cache_dir)
     after = dict(codegen_stats())
     assert after["compiles"] == mid["compiles"]
@@ -409,6 +417,7 @@ def test_disk_cache_env_resolution(tmp_path, monkeypatch):
 )
 def test_disk_cache_tamper_recompiles_never_wrong(tmp_path, tamper):
     cache_dir = str(tmp_path)
+    _new_process()
     compile_module_codegen(_fresh(SRC), cache_dir=cache_dir)
     digest = module_digest(_fresh(SRC))
     path = _artifact_path(cache_dir, digest)
@@ -424,6 +433,7 @@ def test_disk_cache_tamper_recompiles_never_wrong(tmp_path, tamper):
     with open(path, "wb") as fh:
         fh.write(corrupted)
 
+    _new_process()
     before = dict(codegen_stats())
     program = compile_module_codegen(_fresh(SRC), cache_dir=cache_dir)
     after = dict(codegen_stats())
@@ -441,26 +451,39 @@ def test_disk_cache_tamper_recompiles_never_wrong(tmp_path, tamper):
 def test_memo_from_unpersisted_compile_still_writes_artifact(
     tmp_path, monkeypatch
 ):
-    # A program compiled while persistence was off must not satisfy a
-    # later lookup once an artifact directory is configured: that lookup
-    # has to leave the artifact on disk for the next process.
+    # A program compiled while persistence was off must still leave its
+    # artifact on disk once an artifact directory is configured, without
+    # recompiling: the in-process hit writes the cached code through.
     import pickle
 
-    from repro.core.schedule_engine import _codegen_for_blob
+    from repro.core.schedule_engine import SerialScheduleEngine, execute_task
 
     monkeypatch.delenv(CODEGEN_CACHE_ENV, raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    module = _fresh(SRC)
-    blob = pickle.dumps(_fresh(SRC.replace("i < 9", "i < 7")))
-    compile_module_codegen(module)
-    _codegen_for_blob(blob)
-    monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path))
-    compile_module_codegen(module)
-    _codegen_for_blob(blob)
-    assert os.path.exists(_artifact_path(str(tmp_path), module_digest(module)))
-    assert os.path.exists(
-        _artifact_path(str(tmp_path), module_digest(pickle.loads(blob)))
+    plans = []
+    run = SerialScheduleEngine.run
+    monkeypatch.setattr(
+        SerialScheduleEngine, "run",
+        lambda engine, batch: plans.extend(batch) or run(engine, batch),
     )
+    DcaAnalyzer(
+        _fresh(SRC.replace("i < 9", "i < 7")), static_filter=False,
+        clock=_zero, backend="serial", exec_backend="codegen",
+    ).analyze()
+    task = plans[0].tasks[0]
+    module = _fresh(SRC)
+    create_executor(module, exec_backend="codegen")
+    assert execute_task(task).status == "ok"
+    monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path))
+    before = dict(codegen_stats())
+    create_executor(module, exec_backend="codegen")
+    assert execute_task(task).status == "ok"
+    after = dict(codegen_stats())
+    assert after["compiles"] == before["compiles"]
+    assert after["memo_hits"] - before["memo_hits"] == 2
+    assert os.path.exists(_artifact_path(str(tmp_path), module_digest(module)))
+    assert os.path.exists(_artifact_path(str(tmp_path), task.module_digest))
+    assert task.module_digest == module_digest(pickle.loads(task.module_blob))
 
 
 def test_profiling_lowering_has_its_own_artifact(tmp_path):
@@ -478,7 +501,9 @@ def test_profiling_lowering_has_its_own_artifact(tmp_path):
     assert "_p_enter" in codegen_source(_fresh(SRC), profiling=True)
     assert "_p_" not in codegen_source(_fresh(SRC))
 
-    # Warm: both variants load from disk, nothing recompiles.
+    # Warm, in a new process: both variants load from disk, nothing
+    # recompiles.
+    _new_process()
     compile_module_codegen(_fresh(SRC), cache_dir=cache_dir)
     compile_module_codegen(_fresh(SRC), cache_dir=cache_dir, profiling=True)
     after = dict(codegen_stats())
@@ -520,27 +545,97 @@ def test_analyzer_profiles_on_codegen_and_tiering_picks_full_profile():
     }
 
 
-def test_compile_module_is_cached_per_module():
-    from repro.interp.codegen import _MODULE_CACHE, _MODULE_CACHE_MAX
-
+def test_compile_module_is_cached_per_module(tmp_path):
+    cache_dir = str(tmp_path)
     module = compile_program("func int main() { return 7; }")
-    program = compile_module_codegen(module, cache_dir="")
-    assert compile_module_codegen(module, cache_dir="") is program
-    key = (id(module), False, None)
-    assert key in _MODULE_CACHE
-    # The LRU is bounded: flooding it with fresh modules evicts ours.
-    keep = []
-    for i in range(_MODULE_CACHE_MAX + 1):
-        other = compile_program(f"func int main() {{ return {i}; }}")
-        keep.append(other)
+    program = compile_module_codegen(module, cache_dir=cache_dir)
+    key = (module_digest(module), False)
+    assert key in _PROGRAM_CACHE
+    # A distinct but printed-identical module gets the same program from
+    # memory, without reading the disk artifact.
+    twin = compile_program("func int main() { return 7; }")
+    assert twin is not module
+    before = dict(codegen_stats())
+    assert compile_module_codegen(twin, cache_dir=cache_dir) is program
+    after = dict(codegen_stats())
+    assert after["memo_hits"] - before["memo_hits"] == 1
+    for stat in ("compiles", "disk_hits", "disk_misses"):
+        assert after[stat] == before[stat]
+    # The LRU is bounded: flooding it with other modules evicts ours.
+    for i in range(_PROGRAM_CACHE_MAX):
+        other = compile_program(f"func int main() {{ return {i + 100}; }}")
         compile_module_codegen(other, cache_dir="")
-    assert key not in _MODULE_CACHE
-    assert len(_MODULE_CACHE) <= _MODULE_CACHE_MAX
+    assert key not in _PROGRAM_CACHE
+    assert len(_PROGRAM_CACHE) == _PROGRAM_CACHE_MAX
     # Recompilation after eviction still works and re-caches.
+    before = dict(codegen_stats())
     again = compile_module_codegen(module, cache_dir="")
+    assert codegen_stats()["compiles"] - before["compiles"] == 1
     assert again is not program
     assert CodegenExecutor(again).run("main", []) == 7
-    assert key in _MODULE_CACHE
+    assert key in _PROGRAM_CACHE
+    assert compile_module_codegen(twin, cache_dir="") is again
+
+
+def test_source_lines_are_part_of_the_digest(tmp_path):
+    # Two layouts of one program print identically but fault on
+    # different lines; neither may serve the other's program, from
+    # memory or from disk.
+    one = "struct P { int x; }\nfunc int main() { P* p = null; return p.x; }"
+    two = one.replace("null; ", "null;\n    ")
+    assert format_module(compile_program(one)) == format_module(
+        compile_program(two)
+    )
+    assert module_digest(compile_program(one)) != module_digest(
+        compile_program(two)
+    )
+    compile_module_codegen(compile_program(one), cache_dir=str(tmp_path))
+    for cached in (True, False):
+        if not cached:
+            _new_process()
+        program = compile_module_codegen(
+            compile_program(two), cache_dir=str(tmp_path)
+        )
+        with pytest.raises(MiniCRuntimeError, match=r"\(line 3\)"):
+            CodegenExecutor(program).run("main", [])
+
+
+def test_program_cache_is_thread_safe():
+    # More threads than cores compile overlapping modules past the LRU
+    # bound with a short switch interval: every program must run right
+    # and the bound must hold.
+    import sys
+    import threading
+
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(_PROGRAM_CACHE_MAX // 2):
+                value = (offset + i) % (_PROGRAM_CACHE_MAX + 8)
+                module = compile_program(
+                    f"func int main() {{ return {value}; }}"
+                )
+                program = compile_module_codegen(module, cache_dir="")
+                assert CodegenExecutor(program).run("main", []) == value
+        except Exception as exc:  # reported below, with the thread's input
+            errors.append((offset, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(n * 17,)) for n in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(_PROGRAM_CACHE) <= _PROGRAM_CACHE_MAX
 
 
 def test_codegen_source_is_deterministic():
@@ -620,6 +715,7 @@ def test_corpus_warm_disk_replay_byte_identical(tmp_path, monkeypatch):
         compile_program(src), static_filter=False, clock=_zero,
         exec_backend="codegen",
     ).analyze()
+    _new_process()
     before = dict(codegen_stats())
     warm = DcaAnalyzer(
         compile_program(src), static_filter=False, clock=_zero,

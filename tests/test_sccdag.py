@@ -41,6 +41,8 @@ from repro.parallel.machine import (
     pipeline_invocation_time,
 )
 
+from test_specs import ENV_FLAG_SPELLINGS  # one table for both switches
+
 
 def zero() -> float:
     return 0.0
@@ -277,6 +279,19 @@ def test_resolve_tiering_env(monkeypatch):
     assert resolve_tiering(None) is True
     monkeypatch.setenv("REPRO_TIERING", "off")
     assert resolve_tiering(None) is False
+
+
+@pytest.mark.parametrize("raw, meaning", ENV_FLAG_SPELLINGS)
+def test_resolve_tiering_env_spellings(monkeypatch, raw, meaning):
+    if raw is None:
+        monkeypatch.delenv("REPRO_TIERING", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_TIERING", raw)
+    if meaning == "error":
+        with pytest.raises(ValueError, match="REPRO_TIERING"):
+            resolve_tiering(None)
+    else:
+        assert resolve_tiering(None) is bool(meaning)
 
 
 def test_resolve_tiering_explicit_beats_env(monkeypatch):

@@ -552,8 +552,10 @@ class TestLocalFailFast:
 
         (tmp_path / "a_bad.mc").write_text(BROKEN)
         (tmp_path / "b_good.mc").write_text(GOOD)
+        # Pinned: REPRO_SCHEDULE_BACKEND would otherwise send the batch to
+        # the pool (test_pooled_fail_fast_records_skips covers that path).
         result = run_batch(
-            AnalysisConfig(cache_mode="off"),
+            AnalysisConfig(cache_mode="off", backend="serial"),
             paths=[str(tmp_path)],
             fail_fast=True,
         )
@@ -597,7 +599,8 @@ class TestLocalFailFast:
         (tmp_path / "a_bad.mc").write_text(BROKEN)
         (tmp_path / "b_good.mc").write_text(GOOD)
         code = main(
-            ["batch", str(tmp_path), "--fail-fast", "--no-cache"]
+            ["batch", str(tmp_path), "--fail-fast", "--no-cache",
+             "--backend", "serial"]
         )
         out = capsys.readouterr().out
         assert code == 1

@@ -22,11 +22,11 @@ from repro.analysis.specs import (
     check_annotations,
     default_registry,
     registry_from_env,
-    specs_env_enabled,
 )
 from repro.core.dca import DcaAnalyzer
 from repro.core.liveout import Snapshot, canonicalize_snapshot
 from repro.core.report import DECIDED_STATIC_SPECS
+from repro.env import env_flag
 
 
 def _zero() -> float:
@@ -109,17 +109,33 @@ func void main() {
     assert widened.digest() != base.digest()
 
 
-def test_registry_from_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SPECS", raising=False)
-    assert specs_env_enabled() is None
-    assert registry_from_env() is None
-    for falsy in ("", "0", "false", "no", "off"):
-        monkeypatch.setenv("REPRO_SPECS", falsy)
-        assert specs_env_enabled() is False
+#: REPRO_SPECS / REPRO_TIERING spellings and their meaning (None: unset;
+#: "error": rejected with a ValueError naming the variable).
+ENV_FLAG_SPELLINGS = [
+    (None, None),
+    ("", False), ("0", False), ("false", False), ("no", False),
+    ("off", False), (" OFF ", False),
+    ("1", True), ("true", True), ("yes", True), ("on", True),
+    ("True", True),
+    ("enabled", "error"), ("2", "error"), ("disabled", "error"),
+]
+
+
+@pytest.mark.parametrize("raw, meaning", ENV_FLAG_SPELLINGS)
+def test_registry_from_env(monkeypatch, raw, meaning):
+    if raw is None:
+        monkeypatch.delenv("REPRO_SPECS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SPECS", raw)
+    if meaning == "error":
+        with pytest.raises(ValueError, match="REPRO_SPECS"):
+            registry_from_env()
+        return
+    assert env_flag("REPRO_SPECS") is meaning
+    if meaning:
+        assert registry_from_env().digest() == default_registry().digest()
+    else:
         assert registry_from_env() is None
-    monkeypatch.setenv("REPRO_SPECS", "1")
-    assert specs_env_enabled() is True
-    assert registry_from_env().digest() == default_registry().digest()
 
 
 # ---------------------------------------------------------------------------
