@@ -72,9 +72,9 @@ def test_codegen_backend_zero_drift(capsys):
 
 
 def test_codegen_backend_wall_speedup(capsys, tmp_path, monkeypatch):
-    from repro.interp.codegen import CODEGEN_CACHE_ENV, codegen_stats
+    from repro.interp.codegen import codegen_stats
 
-    monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path / "artifacts"))
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(tmp_path / "artifacts"))
 
     def gate_config():
         return ScheduleConfig.default(n_random=GATE_RANDOM_SCHEDULES)

@@ -33,9 +33,8 @@ replicable ("parallel") when none of its SCCs is sequential.  The
 resulting :class:`PipelinePlan` feeds the simulated multicore executor
 (:func:`repro.parallel.machine.pipeline_invocation_time`).
 
-Tier resolution (``--tiering`` / ``REPRO_TIERING``) follows the
-repo-wide precedence: explicit setting beats environment beats default
-off, unit-pinned like ``resolve_schedule_backend``.
+Whether tiering runs at all is the ``tiering`` setting of
+:mod:`repro.env` (``--tiering`` / ``REPRO_TIERING``, default off).
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.analysis.reductions import (
     POINTER_CHASE,
     LoopIdioms,
 )
-from repro.env import env_flag
 from repro.ir.function import Function
 
 __all__ = [
@@ -66,14 +64,12 @@ __all__ = [
     "SCC_SEQUENTIAL",
     "SccDag",
     "SccNode",
-    "TIERING_ENV",
     "TIER_DOALL",
     "TIER_PIPELINE",
     "TIER_REDUCTION",
     "TIER_SEQUENTIAL",
     "build_sccdag",
     "partition_stages",
-    "resolve_tiering",
     "stage_shapes",
     "tier_display",
 ]
@@ -102,17 +98,7 @@ SCC_PARALLEL = "parallel"
 SCC_REDUCTION = "reduction"
 SCC_SEQUENTIAL = "sequential"
 
-#: Environment fallback for the tiering switch (explicit config wins).
-TIERING_ENV = "REPRO_TIERING"
-
 DEFAULT_MAX_PIPELINE_STAGES = 4
-
-
-def resolve_tiering(explicit: Optional[bool] = None) -> bool:
-    """Whether the pipeline tier runs: explicit > ``REPRO_TIERING`` > off."""
-    if explicit is not None:
-        return bool(explicit)
-    return bool(env_flag(TIERING_ENV))
 
 
 def tier_display(tier: Optional[str], plan: Optional[Dict] = None) -> str:

@@ -54,7 +54,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 import repro.obs as obs
 from repro.analysis.alias import PointsTo
 from repro.analysis.purity import EffectAnalysis
-from repro.env import env_flag
 from repro.ir.function import Function, Module
 from repro.ir.instructions import (
     BinOp,
@@ -84,7 +83,6 @@ __all__ = [
     "check_annotations",
     "default_registry",
     "recognize_chain_inserts",
-    "registry_from_env",
 ]
 
 #: Equivalence classes for snapshot comparison (Koskinen & Bansal's
@@ -318,12 +316,6 @@ def default_registry() -> SpecRegistry:
         ),
     ]
     return SpecRegistry(tuple(specs))
-
-
-def registry_from_env() -> Optional[SpecRegistry]:
-    """The default registry iff REPRO_SPECS enables specs, else None
-    (:func:`repro.env.env_flag` parses the switch)."""
-    return default_registry() if env_flag("REPRO_SPECS") else None
 
 
 # -- chain-insert recognizer ---------------------------------------------------

@@ -10,18 +10,9 @@ one :class:`AnalysisSession` facade drives the four entry points —
 kwargs and ad-hoc ``REPRO_*`` reads are considered legacy.
 
 **Precedence.**  Explicit config always beats the environment; the
-environment beats defaults.  Concretely (unit-tested in
-``tests/test_api.py``):
-
-* ``backend``/``jobs`` — resolved by
-  :func:`repro.core.schedule_engine.resolve_schedule_backend`: explicit
-  backend, then process implied by explicit ``jobs > 1``, then
-  ``REPRO_SCHEDULE_BACKEND``, then process implied by
-  ``REPRO_SCHEDULE_JOBS > 1``, then serial.
-* ``exec_backend`` — explicit value, then ``REPRO_EXEC_BACKEND``, then
-  codegen.
-* ``cache_dir`` — explicit value, then ``REPRO_CACHE_DIR``, then
-  disabled.
+environment beats defaults.  A field left at None asks its row of the
+settings table in :mod:`repro.env` (DESIGN.md §11 lists every row);
+:meth:`AnalysisConfig.resolved` is the one lookup.
 
 **Caching.**  :meth:`AnalysisConfig.fingerprint` is the exact
 config-fingerprint component of the persistent cache key (see
@@ -49,13 +40,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
-from repro.cache import open_cache, resolve_cache_dir
+from repro.cache import open_cache
 from repro.cache.keys import config_fingerprint
 from repro.core.dca import DcaAnalyzer
 from repro.core.report import DcaReport
-from repro.core.schedule_engine import resolve_schedule_backend
 from repro.core.schedules import ScheduleConfig
-from repro.interp.backend import EXEC_BACKENDS, resolve_exec_backend
+from repro.env import SETTINGS, resolve, schedule_backend
 from repro.ir.function import Module
 
 __all__ = [
@@ -97,26 +87,26 @@ class AnalysisConfig:
     backend: Optional[str] = None
     jobs: Optional[int] = None
     #: Execution backend for observer-free runs (one of
-    #: :data:`repro.interp.backend.EXEC_BACKENDS`).
+    #: :data:`repro.env.EXEC_BACKENDS`).
     exec_backend: Optional[str] = None
     #: Record spans/metrics/events during session operations.
     obs: bool = False
-    #: Persistent cache directory (None defers to ``REPRO_CACHE_DIR``,
-    #: then disabled) and mode ("rw", "ro", "refresh", or "off").
+    #: Persistent cache directory (None defers to the environment, then
+    #: disabled; blank disables) and mode ("rw", "ro", "refresh", or "off").
     cache_dir: Optional[str] = None
     cache_mode: str = "rw"
     #: Commutativity specs (verification modulo declared equivalence;
-    #: see :mod:`repro.analysis.specs`).  None defers to ``REPRO_SPECS``
+    #: see :mod:`repro.analysis.specs`).  None defers to the environment
     #: (default: off); True/False force the built-in registry on or off.
     specs: Optional[bool] = None
-    #: Run-ledger directory (None defers to ``REPRO_LEDGER_DIR``, then
-    #: disabled; the explicit value "off" disables even over the
-    #: environment).  Session entry points append one headline row per
-    #: run (see :mod:`repro.obs.ledger` and ``repro stats``).
+    #: Run-ledger directory (None defers to the environment, then
+    #: disabled; blank or "off" disables even over the environment).
+    #: Session entry points append one headline row per run (see
+    #: :mod:`repro.obs.ledger` and ``repro stats``).
     ledger_dir: Optional[str] = None
     #: Parallelization tiering (DOALL/REDUCTION/PIPELINE/SEQUENTIAL per
-    #: loop; see :mod:`repro.analysis.sccdag`).  None defers to
-    #: ``REPRO_TIERING`` (default: off); True/False force it.  When on,
+    #: loop; see :mod:`repro.analysis.sccdag`).  None defers to the
+    #: environment (default: off); True/False force it.  When on,
     #: reports serialize under ``report_schema_version`` 2.
     tiering: Optional[bool] = None
     #: Upper bound on DSWP pipeline stages per loop (>= 2).
@@ -129,17 +119,13 @@ class AnalysisConfig:
             )
         if self.cache_mode not in ("rw", "ro", "refresh", "off"):
             raise ValueError(f"unknown cache mode {self.cache_mode!r}")
-        if self.backend not in (None, "serial", "process"):
-            raise ValueError(f"unknown schedule backend {self.backend!r}")
-        # Validate against the backend registry, not a local copy: the
-        # explicit field must accept exactly what REPRO_EXEC_BACKEND
-        # accepts, or the documented explicit-beats-env precedence
-        # silently inverts for backends missing from the copy.
-        if self.exec_backend is not None and self.exec_backend not in EXEC_BACKENDS:
-            raise ValueError(
-                f"unknown exec backend {self.exec_backend!r}; "
-                f"expected one of {EXEC_BACKENDS}"
-            )
+        # Explicit settings pass the same parser as their environment
+        # variable, so the field accepts exactly what the variable does.
+        for name in SETTINGS:
+            if getattr(self, name, None) is not None:
+                resolve(name, getattr(self, name))
+        if self.n_random_schedules < 0:
+            raise ValueError("n_random_schedules must be >= 0")
         if self.max_pipeline_stages < 2:
             raise ValueError("max_pipeline_stages must be >= 2")
         # Frozen dataclasses hash by field tuple; normalize silently
@@ -170,44 +156,28 @@ class AnalysisConfig:
             s.name for s in self.schedule_config().testing_schedules()
         ]
 
-    def resolved_backend(self) -> Tuple[str, Optional[int]]:
-        return resolve_schedule_backend(self.backend, self.jobs)
-
-    def resolved_exec_backend(self) -> str:
-        return resolve_exec_backend(self.exec_backend)
-
-    def resolved_cache_dir(self) -> Optional[str]:
-        if self.cache_mode == "off":
+    def resolved(self, name: str):
+        """The effective value of environment-backed field ``name``: the
+        field unless None, else its :mod:`repro.env` row.  A ``cache_dir``
+        under ``cache_mode="off"`` and a ``ledger_dir`` of ``"off"`` are
+        None; ``backend``/``jobs`` follow
+        :func:`repro.env.schedule_backend`."""
+        value = getattr(self, name)
+        if (name == "cache_dir" and self.cache_mode == "off"
+                or name == "ledger_dir" and value == "off"):
             return None
-        return resolve_cache_dir(self.cache_dir)
-
-    def resolved_ledger_dir(self) -> Optional[str]:
-        if self.ledger_dir == "off":
-            return None
-        return obs.resolve_ledger_dir(self.ledger_dir)
-
-    def resolved_specs(self):
-        """The effective :class:`~repro.analysis.specs.SpecRegistry`:
-        explicit ``specs`` beats ``REPRO_SPECS`` beats off."""
-        from repro.analysis.specs import default_registry, registry_from_env
-
-        if self.specs is None:
-            return registry_from_env()
-        return default_registry() if self.specs else None
-
-    def resolved_tiering(self) -> bool:
-        """Effective tiering switch: explicit ``tiering`` beats
-        ``REPRO_TIERING`` beats off."""
-        from repro.analysis.sccdag import resolve_tiering
-
-        return resolve_tiering(self.tiering)
+        if name in ("backend", "jobs"):
+            return schedule_backend(self.backend, self.jobs)[name == "jobs"]
+        return resolve(name, value)
 
     def fingerprint(self) -> str:
         """The exact config-fingerprint component of the persistent
         cache key.  Covers only verdict-relevant settings — backends,
         jobs, observability and cache policy are excluded, matching the
         report byte-identity contract across those axes."""
-        registry = self.resolved_specs()
+        from repro.analysis.specs import default_registry
+
+        specs = default_registry().digest() if self.resolved("specs") else None
         return config_fingerprint(
             self.schedule_names(),
             rtol=self.rtol,
@@ -215,10 +185,10 @@ class AnalysisConfig:
             static_filter=self.static_filter,
             max_steps=self.max_steps,
             candidate_labels=self.candidate_labels,
-            specs=registry.digest() if registry is not None else None,
+            specs=specs,
             tiering=(
                 {"max_pipeline_stages": self.max_pipeline_stages}
-                if self.resolved_tiering()
+                if self.resolved("tiering")
                 else None
             ),
         )
@@ -294,7 +264,7 @@ class AnalysisSession:
         """The open :class:`~repro.obs.RunLedger`, or None."""
         if not self._ledger_opened:
             self._ledger_opened = True
-            directory = self.config.resolved_ledger_dir()
+            directory = self.config.resolved("ledger_dir")
             if directory is not None:
                 self._ledger = obs.RunLedger(directory)
         return self._ledger
@@ -359,9 +329,10 @@ class AnalysisSession:
         source_path: Optional[str] = None,
     ) -> DcaAnalyzer:
         """Construct the configured analyzer — the one true assembly of
-        ``DcaAnalyzer`` kwargs from an :class:`AnalysisConfig`."""
+        ``DcaAnalyzer`` kwargs from an :class:`AnalysisConfig`.  Fields
+        left at None resolve inside the analyzer, through the same
+        :mod:`repro.env` rows as :meth:`AnalysisConfig.resolved`."""
         config = self.config
-        backend, jobs = config.resolved_backend()
         return DcaAnalyzer(
             module,
             entry=config.entry,
@@ -372,14 +343,14 @@ class AnalysisSession:
             candidate_labels=config.candidate_labels,
             liveout_policy=config.liveout_policy,
             static_filter=config.static_filter,
-            specs=config.resolved_specs() or False,
-            backend=backend,
-            jobs=jobs,
-            exec_backend=config.resolved_exec_backend(),
+            specs=config.specs,
+            backend=config.backend,
+            jobs=config.jobs,
+            exec_backend=config.exec_backend,
             cache=self.cache,
             source_text=source_text,
             source_path=source_path,
-            tiering=config.resolved_tiering(),
+            tiering=config.tiering,
             max_pipeline_stages=config.max_pipeline_stages,
         )
 

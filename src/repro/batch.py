@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
+from repro.env import schedule_backend
 from repro.lang.errors import MiniCError
 
 __all__ = [
@@ -447,7 +448,7 @@ def run_batch(
     if not specs:
         raise ValueError("empty corpus: no programs found")
 
-    backend, jobs = config.resolved_backend()
+    backend, jobs = schedule_backend(config.backend, config.jobs)
     start = time.perf_counter()
     if backend == "process" and len(specs) > 1:
         outcomes = _run_pooled(config, specs, jobs, on_result, fail_fast)

@@ -19,52 +19,37 @@ the ``repro cache`` maintenance subcommand)::
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.cache.keys import (
     SEMANTICS_VERSION,
     config_fingerprint,
     fingerprint_description,
+    module_source_digest,
     module_workload_digest,
 )
-from repro.cache.store import (
-    CACHE_DB_NAME,
-    CACHE_DIR_ENV,
-    CACHE_MODES,
-    AnalysisCache,
-)
+from repro.cache.store import CACHE_DB_NAME, CACHE_MODES, AnalysisCache
+from repro.env import resolve
 
 __all__ = [
     "AnalysisCache",
     "CACHE_DB_NAME",
-    "CACHE_DIR_ENV",
     "CACHE_MODES",
     "SEMANTICS_VERSION",
     "config_fingerprint",
     "fingerprint_description",
+    "module_source_digest",
     "module_workload_digest",
     "open_cache",
-    "resolve_cache_dir",
 ]
-
-
-def resolve_cache_dir(cache_dir: Optional[str] = None) -> Optional[str]:
-    """Resolve the cache directory: explicit argument (an empty or blank
-    string disables), then the ``REPRO_CACHE_DIR`` environment variable,
-    then disabled (None)."""
-    if cache_dir is not None:
-        cache_dir = cache_dir.strip()
-        return os.path.expanduser(cache_dir) if cache_dir else None
-    env = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return os.path.expanduser(env) if env else None
 
 
 def open_cache(
     cache_dir: Optional[str] = None, mode: str = "rw"
 ) -> Optional[AnalysisCache]:
-    """Open the resolved cache directory, or None when caching is off."""
-    resolved = resolve_cache_dir(cache_dir)
+    """Open the cache directory (the ``cache_dir`` setting of
+    :mod:`repro.env`), or None when caching is off."""
+    resolved = resolve("cache_dir", cache_dir)
     if resolved is None or mode == "off":
         return None
     return AnalysisCache(resolved, mode=mode)

@@ -24,6 +24,16 @@ A cached per-loop verdict is addressed by three components:
 Any fingerprint change makes old entries unreachable (a miss); the store
 additionally counts such stale-sibling misses as *invalidations* so the
 effect of a config change is visible in ``repro cache stats``.
+
+**Layout.**  The module digest is *layout-blind*: the printed IR carries
+no source lines, so two sources that differ only in blank lines or
+comments share cache entries, and a cache hit re-derives every line
+field (loop lines, fault messages) from the module being analyzed.
+Everything that hands back a program or a report as-is is
+*source-exact* instead and keys by :func:`module_source_digest`, which
+adds each instruction's source line: compiled codegen programs (their
+fault messages carry lines) and ``repro serve``'s request coalescing
+(a follower receives the leader's report bytes verbatim).
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ __all__ = [
     "SEMANTICS_VERSION",
     "config_fingerprint",
     "fingerprint_description",
+    "module_source_digest",
     "module_workload_digest",
 ]
 
@@ -66,6 +77,17 @@ def module_workload_digest(
     return _sha256(
         "\x00".join([format_module(module), entry, repr(list(args))])
     )
+
+
+def module_source_digest(module: Module) -> str:
+    """Source-exact content address of one program: the canonical printed
+    IR plus each instruction's source line, so one digest maps to exactly
+    one source layout."""
+    lines = [
+        ins.line for func in module.functions.values()
+        for ins in func.instructions()
+    ]
+    return _sha256(f"{format_module(module)}\n{lines!r}")
 
 
 def fingerprint_description(

@@ -22,8 +22,8 @@ processes; ``--jobs N`` alone implies the process backend),
 executions, the default, or tree-walk them on the reference
 interpreter; env ``REPRO_EXEC_BACKEND``).
 
-Flags always beat the matching ``REPRO_*`` environment variables (see
-``repro.api`` for the full precedence order).
+Flags always beat the matching ``REPRO_*`` environment variables (the
+table in :mod:`repro.env`, listed in DESIGN.md §11).
 
 Caching: ``analyze``/``detect``/``profile``/``batch`` accept ``--cache
 DIR`` (persistent verdict cache; env ``REPRO_CACHE_DIR``), ``--no-cache``
@@ -60,8 +60,7 @@ import sys
 from typing import List, Optional
 
 from repro.driver import compile_program, run_program
-from repro.env import env_flag
-from repro.interp.backend import EXEC_BACKENDS, resolve_exec_backend
+from repro.env import EXEC_BACKENDS, SETTINGS, resolve
 
 
 def _read(path: str) -> str:
@@ -450,15 +449,14 @@ def _batch_via_server(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import AnalysisServer, resolve_serve_config
+    import dataclasses
 
-    serve_config = resolve_serve_config(
-        host=args.host,
-        port=args.port,
-        queue_depth=args.queue_depth,
-        workers=args.workers,
-        default_priority=args.priority,
-    )
+    from repro.serve import AnalysisServer, ServeConfig
+
+    serve_config = ServeConfig(**{
+        f.name: resolve(f.name, getattr(args, SETTINGS[f.name].dest))
+        for f in dataclasses.fields(ServeConfig)
+    })
     server = AnalysisServer(serve_config, base=_config_from_args(args))
     print(
         f"repro serve on http://{serve_config.host}:{serve_config.port} "
@@ -474,12 +472,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.cache import AnalysisCache, CACHE_DIR_ENV, resolve_cache_dir
+    from repro.cache import AnalysisCache
 
-    directory = resolve_cache_dir(getattr(args, "cache", None))
+    directory = resolve("cache_dir", args.cache)
     if directory is None:
         print(
-            f"cache: no directory (pass --cache DIR or set {CACHE_DIR_ENV})",
+            "cache: no directory (pass --cache DIR or set "
+            f"{SETTINGS['cache_dir'].env})",
             file=sys.stderr,
         )
         return 2
@@ -550,10 +549,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     import repro.obs as obs
 
-    directory = obs.resolve_ledger_dir(getattr(args, "ledger", None))
+    directory = resolve("ledger_dir", args.ledger)
     if directory is None:
         print(
-            f"stats: no ledger (pass --ledger DIR or set {obs.LEDGER_DIR_ENV})",
+            "stats: no ledger (pass --ledger DIR or set "
+            f"{SETTINGS['ledger_dir'].env})",
             file=sys.stderr,
         )
         return 2
@@ -615,20 +615,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
         StaticCommutativityAnalysis,
     )
     from repro.analysis.diagnostics import Diagnostic, DiagnosticEngine
-    from repro.analysis.specs import (
-        check_annotations,
-        default_registry,
-        registry_from_env,
-    )
+    from repro.analysis.specs import check_annotations, default_registry
 
     module = compile_program(_read(args.program))
-    specs = getattr(args, "specs", None)
-    if specs is None:
-        registry = registry_from_env()
-    elif specs is True:
-        registry = default_registry()
-    else:
-        registry = specs or None
+    registry = default_registry() if resolve("specs", args.specs) else None
     verdicts = StaticCommutativityAnalysis(module, specs=registry).analyze()
     engine = DiagnosticEngine(program=args.program)
     engine.ingest_static(verdicts.values())
@@ -956,6 +946,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute a sample of cached loops and cross-check digests",
     )
     cache_dir_flag(p_cverify)
+    # Re-execution runs on the engine and exec backend the environment
+    # selects; these hidden defaults make main() validate them.
+    p_cverify.set_defaults(backend=None, jobs=None, exec_backend=None)
     p_cverify.add_argument("--sample", type=int, default=10, metavar="N",
                            help="number of cached entries to re-execute")
     p_cverify.add_argument("--seed", type=int, default=0, metavar="S",
@@ -994,23 +987,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Subcommands that execute programs read REPRO_EXEC_BACKEND and
-    # REPRO_SCHEDULE_BACKEND, and those with --specs/--tiering read
-    # REPRO_SPECS/REPRO_TIERING when the flag is absent; a bad value
-    # there is a usage error, not a traceback from deep inside the run.
-    verify = getattr(args, "cache_command", None) == "verify"
+    # A setting whose flag the subcommand has and leaves unset is read
+    # from the environment; a bad value there is a usage error, not a
+    # traceback from deep inside the run.
     try:
-        if verify or hasattr(args, "exec_backend"):
-            resolve_exec_backend(getattr(args, "exec_backend", None))
-        if verify or hasattr(args, "backend"):
-            from repro.core.schedule_engine import resolve_schedule_backend
-
-            resolve_schedule_backend(
-                getattr(args, "backend", None), getattr(args, "jobs", None)
-            )
-        for flag in ("specs", "tiering"):
-            if getattr(args, flag, True) is None:
-                env_flag(f"REPRO_{flag.upper()}")
+        for row in SETTINGS.values():
+            if row.dest is not None and hasattr(args, row.dest):
+                resolve(row.field, getattr(args, row.dest))
     except ValueError as exc:
         parser.error(str(exc))
     return args.func(args)

@@ -54,13 +54,8 @@ from repro.analysis.sccdag import (
     TIER_SEQUENTIAL,
     build_sccdag,
     partition_stages,
-    resolve_tiering,
 )
-from repro.analysis.specs import (
-    SpecRegistry,
-    default_registry,
-    registry_from_env,
-)
+from repro.analysis.specs import SpecRegistry, default_registry
 from repro.core.liveout import canonicalize_snapshot, capture, snapshot_digest
 from repro.core.instrument import (
     VerifySpec,
@@ -73,6 +68,7 @@ from repro.core.payload import OutlineError
 from repro.cache.keys import (
     config_fingerprint,
     fingerprint_description,
+    module_source_digest,
     module_workload_digest,
 )
 from repro.core.report import (
@@ -105,12 +101,8 @@ from repro.core.schedule_engine import (
     outcome_fails,
 )
 from repro.core.schedules import IdentitySchedule, ScheduleConfig
-from repro.interp.backend import (
-    create_executor,
-    create_profiling_executor,
-    resolve_exec_backend,
-)
-from repro.interp.codegen import module_digest
+from repro.env import resolve
+from repro.interp.backend import create_executor, create_profiling_executor
 from repro.interp.interpreter import Interpreter
 from repro.ir.function import Module
 
@@ -162,18 +154,13 @@ class DcaAnalyzer:
         #: with a proven static verdict skip permutation testing.
         self.static_filter = static_filter
         #: Commutativity-spec registry (verification modulo declared
-        #: equivalence; see :mod:`repro.analysis.specs`).  ``None``
-        #: resolves from the ``REPRO_SPECS`` environment (default: off);
-        #: ``True`` selects the built-in registry, ``False`` disables
-        #: specs, a :class:`SpecRegistry` is used as-is.
-        if specs is None:
-            self.specs: Optional[SpecRegistry] = registry_from_env()
-        elif specs is True:
-            self.specs = default_registry()
-        elif specs is False:
-            self.specs = None
-        else:
-            self.specs = specs
+        #: equivalence; see :mod:`repro.analysis.specs`).  A
+        #: :class:`SpecRegistry` is used as-is; ``True``/``False`` select
+        #: the built-in registry or none, and ``None`` asks the ``specs``
+        #: setting of :mod:`repro.env` (default: off).
+        if not isinstance(specs, SpecRegistry):
+            specs = default_registry() if resolve("specs", specs) else None
+        self.specs: Optional[SpecRegistry] = specs
         #: Declared container struct -> link-field slot, restricted to
         #: structs this module actually defines with the exact declared
         #: signature.  Empty whenever specs are off or nothing matches —
@@ -194,18 +181,18 @@ class DcaAnalyzer:
         self._measure_time = clock is None
         #: Schedule-execution backend (serial in-process by default; see
         #: :mod:`repro.core.schedule_engine` for the process backend and
-        #: the ``REPRO_SCHEDULE_BACKEND`` / ``REPRO_SCHEDULE_JOBS``
-        #: environment fallbacks).
+        #: :func:`repro.env.schedule_backend` for the environment
+        #: fallbacks).
         self._engine = engine or create_engine(backend, jobs, clock=clock)
         #: Execution backend: ``codegen`` (Python source; see
         #: :mod:`repro.interp.codegen`) or ``interp`` (the reference
-        #: interpreter), with the ``REPRO_EXEC_BACKEND`` environment
-        #: fallback (see :mod:`repro.interp.backend`).  The golden run
-        #: and schedule replays use it directly; the dependence-profiling
-        #: run uses codegen's profiling lowering under ``codegen`` and
-        #: the interpreter otherwise.  Everything interprets while the
+        #: interpreter); ``None`` asks the ``exec_backend`` setting of
+        #: :mod:`repro.env`.  The golden run and schedule replays use it
+        #: directly; the dependence-profiling run uses codegen's
+        #: profiling lowering under ``codegen`` and the interpreter
+        #: otherwise.  Everything interprets while the
         #: observability context is enabled.
-        self.exec_backend = resolve_exec_backend(exec_backend)
+        self.exec_backend = resolve("exec_backend", exec_backend)
         #: Testing hook: ``{(loop label, schedule name): fault style}``
         #: fires the named fault inside that schedule's execution.
         self.fault_injection = dict(fault_injection or {})
@@ -219,11 +206,11 @@ class DcaAnalyzer:
         self.source_text = source_text
         self.source_path = source_path
         #: Parallelization tiering (DOALL/REDUCTION/PIPELINE/SEQUENTIAL
-        #: per loop; see :mod:`repro.analysis.sccdag`).  ``None`` resolves
-        #: from the ``REPRO_TIERING`` environment (default: off).  When
+        #: per loop; see :mod:`repro.analysis.sccdag`).  ``None`` asks the
+        #: ``tiering`` setting of :mod:`repro.env` (default: off).  When
         #: off, reports and cache keys are byte-identical to tiering-free
         #: releases.
-        self.tiering = resolve_tiering(tiering)
+        self.tiering = resolve("tiering", tiering)
         if max_pipeline_stages < 2:
             raise ValueError("max_pipeline_stages must be >= 2")
         self.max_pipeline_stages = max_pipeline_stages
@@ -767,7 +754,7 @@ class DcaAnalyzer:
         #: rehydrates a private module copy unless the codegen backend
         #: already holds the compiled program of this digest.
         module_blob = pickle.dumps(instrumented.module)
-        digest = module_digest(instrumented.module)
+        digest = module_source_digest(instrumented.module)
         global_names = sorted(self.module.globals)
         plan = LoopPlan(
             label=label, expected_invocations=self._golden_counts[label]

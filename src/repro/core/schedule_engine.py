@@ -70,6 +70,7 @@ from repro.core.liveout import (
 )
 from repro.core.runtime import CommutativityMismatch, DcaRuntime
 from repro.core.schedules import Schedule
+from repro.env import schedule_backend
 from repro.interp.backend import CompileError
 from repro.interp.interpreter import Interpreter
 from repro.interp.values import MiniCRuntimeError
@@ -86,16 +87,10 @@ __all__ = [
     "engine_queue_depth",
     "execute_task",
     "outcome_fails",
-    "resolve_schedule_backend",
     "shared_pool_jobs",
     "should_test",
     "warm_shared_pool",
 ]
-
-#: Environment knobs consulted when the analyzer is not given an explicit
-#: backend/jobs (lets CI exercise the parallel path suite-wide).
-BACKEND_ENV = "REPRO_SCHEDULE_BACKEND"
-JOBS_ENV = "REPRO_SCHEDULE_JOBS"
 
 #: Outcome statuses.
 OK = "ok"
@@ -153,7 +148,7 @@ class ScheduleTask:
     #: Pickled instrumented test module (shared bytes across the loop's
     #: tasks — unpickling yields a private copy per execution).
     module_blob: bytes
-    #: :func:`~repro.interp.codegen.module_digest` of that module: the
+    #: :func:`~repro.cache.keys.module_source_digest` of that module: the
     #: codegen backend looks its compiled program up by this digest and
     #: unpickles ``module_blob`` only on a miss.
     module_digest: str
@@ -693,55 +688,14 @@ class ProcessScheduleEngine(ScheduleEngine):
         pass
 
 
-def resolve_schedule_backend(
-    backend: Optional[str] = None, jobs: Optional[int] = None
-) -> Tuple[str, Optional[int]]:
-    """Resolve the schedule backend and job count.
-
-    Explicit arguments (CLI flags, API config) always beat the
-    environment — in particular, an explicit ``jobs > 1`` implies the
-    process backend even when ``REPRO_SCHEDULE_BACKEND=serial`` is set.
-    The documented order:
-
-    backend
-        1. explicit ``backend`` argument;
-        2. implied ``process`` by an explicit ``jobs > 1``;
-        3. ``REPRO_SCHEDULE_BACKEND``;
-        4. implied ``process`` by ``REPRO_SCHEDULE_JOBS > 1``;
-        5. ``serial``.
-    jobs
-        1. explicit ``jobs`` argument;
-        2. ``REPRO_SCHEDULE_JOBS``;
-        3. backend default (all cores for ``process``).
-    """
-    env_jobs: Optional[int] = None
-    env_jobs_text = os.environ.get(JOBS_ENV, "").strip()
-    if env_jobs_text:
-        env_jobs = int(env_jobs_text)
-    resolved_jobs = jobs if jobs is not None else env_jobs
-    if backend is None:
-        if jobs is not None and jobs > 1:
-            backend = "process"
-        else:
-            backend = os.environ.get(BACKEND_ENV, "").strip() or None
-    if backend is None:
-        backend = "process" if env_jobs and env_jobs > 1 else "serial"
-    if backend not in ("serial", "process"):
-        raise ValueError(
-            f"unknown schedule backend {backend!r}; "
-            "expected 'serial' or 'process'"
-        )
-    return backend, resolved_jobs
-
-
 def create_engine(
     backend: Optional[str] = None,
     jobs: Optional[int] = None,
     clock: Optional[Callable[[], float]] = None,
 ) -> ScheduleEngine:
     """Build a schedule engine from explicit settings or the environment
-    (see :func:`resolve_schedule_backend` for the resolution order)."""
-    backend, jobs = resolve_schedule_backend(backend, jobs)
+    (see :func:`repro.env.schedule_backend` for the resolution order)."""
+    backend, jobs = schedule_backend(backend, jobs)
     if backend == "serial":
         return SerialScheduleEngine(clock=clock)
     return ProcessScheduleEngine(jobs=jobs)

@@ -5,15 +5,12 @@ from repro.interp.backend import (
     CompileError,
     create_executor,
     create_profiling_executor,
-    resolve_exec_backend,
 )
 from repro.interp.codegen import (
     CodegenExecutor,
     CodegenProgram,
     codegen_stats,
     compile_module_codegen,
-    module_digest,
-    resolve_codegen_cache_dir,
 )
 from repro.interp.events import Location, LoopCtx, Observer
 from repro.interp.interpreter import Interpreter, RuntimeHooks
@@ -46,8 +43,5 @@ __all__ = [
     "create_executor",
     "create_profiling_executor",
     "format_value",
-    "module_digest",
-    "resolve_codegen_cache_dir",
-    "resolve_exec_backend",
     "truthy",
 ]

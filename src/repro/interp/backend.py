@@ -7,8 +7,8 @@ obs-enabled runs) and the Python-source codegen backend
 (:mod:`repro.interp.codegen`, the default for every other run).  This
 module alone holds the policy that picks between them:
 
-* :func:`resolve_exec_backend` — explicit name, then
-  ``REPRO_EXEC_BACKEND``, then ``codegen``;
+* the ``exec_backend`` setting (:mod:`repro.env`) — explicit name,
+  then ``REPRO_EXEC_BACKEND``, then ``codegen``;
 * :func:`create_executor` — codegen only when it is exactly faithful
   (no observers, no profiler, observability disabled, module accepted
   by the emitter); the interpreter otherwise;
@@ -22,31 +22,19 @@ enforce it.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import repro.obs as obs
+from repro.env import resolve
 from repro.interp.interpreter import Interpreter, RuntimeHooks
 from repro.interp.values import MiniCRuntimeError
 from repro.ir.function import Module
 
 __all__ = [
-    "EXEC_BACKENDS",
-    "EXEC_BACKEND_ENV",
     "CompileError",
     "create_executor",
     "create_profiling_executor",
-    "resolve_exec_backend",
 ]
-
-#: Environment knob consulted when no explicit backend is given (lets CI
-#: run the whole suite on the reference interpreter).
-EXEC_BACKEND_ENV = "REPRO_EXEC_BACKEND"
-
-#: Supported execution backends.  Single source of truth: CLI choices
-#: and :class:`repro.api.AnalysisConfig` validation both derive from
-#: this tuple, so a backend added here is reachable from every surface.
-EXEC_BACKENDS = ("interp", "codegen")
 
 # The five DCA intrinsic names, mirrored from repro.core.instrument
 # (string literals here to keep interp free of a core dependency).
@@ -55,23 +43,6 @@ _RT_PERMUTE = "rt_iterator_permute"
 _RT_NEXT = "rt_iterator_next"
 _RT_GET = "rt_iterator_get"
 _RT_VERIFY = "rt_verify"
-
-
-def resolve_exec_backend(backend: Optional[str] = None) -> str:
-    """Resolve an execution backend name.
-
-    Resolution order: explicit argument, then the ``REPRO_EXEC_BACKEND``
-    environment variable, then ``codegen``.
-    """
-    if backend is None:
-        backend = os.environ.get(EXEC_BACKEND_ENV, "").strip() or None
-    if backend is None:
-        return "codegen"
-    if backend not in EXEC_BACKENDS:
-        raise ValueError(
-            f"unknown exec backend {backend!r}; expected one of {EXEC_BACKENDS}"
-        )
-    return backend
 
 
 class CompileError(Exception):
@@ -108,7 +79,7 @@ def create_executor(
     :func:`create_profiling_executor` instead, which keeps them on
     codegen.
     """
-    backend = resolve_exec_backend(exec_backend)
+    backend = resolve("exec_backend", exec_backend)
     ctx = obs.current()
     if backend == "codegen":
         if observers:
@@ -167,7 +138,7 @@ def create_profiling_executor(
     """
     if obs_enabled is None:
         obs_enabled = obs.current().enabled
-    if resolve_exec_backend(exec_backend) == "codegen" and not obs_enabled:
+    if resolve("exec_backend", exec_backend) == "codegen" and not obs_enabled:
         from repro.interp.codegen import (
             CodegenExecutor,
             compile_module_codegen,

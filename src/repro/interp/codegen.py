@@ -28,13 +28,13 @@ bytecode:
   evaluation order; step accounting charges ``len(block.instrs)`` at
   block entry and checks ``max_steps`` before the body runs.
 
-Compiled programs are cached by :func:`module_digest` in one bounded
-in-process LRU in front of disk artifacts, so cold corpus programs skip
-even the source generation + ``compile()`` cost.  Artifacts carry a
-format version,
-the running interpreter's bytecode magic and a payload checksum; any
-mismatch or corruption silently falls back to a fresh compile (never to
-wrong results).
+Compiled programs are cached by
+:func:`~repro.cache.keys.module_source_digest` in one bounded in-process
+LRU in front of disk artifacts, so cold corpus programs skip even the
+source generation + ``compile()`` cost.  Artifacts carry a format
+version, the running interpreter's bytecode magic and a payload
+checksum; any mismatch or corruption silently falls back to a fresh
+compile (never to wrong results).
 
 The backend supports no generic observers and no instruction profiler;
 :func:`repro.interp.backend.create_executor` routes those runs (and
@@ -65,7 +65,8 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
-from repro.cache import resolve_cache_dir
+from repro.cache.keys import module_source_digest
+from repro.env import codegen_cache_dir
 from repro.interp.backend import (
     _RT_GET,
     _RT_NEXT,
@@ -110,26 +111,17 @@ from repro.ir.instructions import (
     StoreGlobal,
     UnOp,
 )
-from repro.ir.printer import format_module
 from repro.lang.builtins import BUILTINS
 from repro.lang.types import FloatType
 
 __all__ = [
-    "CODEGEN_CACHE_ENV",
     "CodegenExecutor",
     "CodegenProgram",
     "cached_codegen_program",
     "codegen_source",
     "codegen_stats",
     "compile_module_codegen",
-    "module_digest",
-    "resolve_codegen_cache_dir",
 ]
-
-#: Directory override for persisted codegen artifacts.  When unset, the
-#: artifact store lives under ``<REPRO_CACHE_DIR>/codegen``; when
-#: neither is set, artifacts are not persisted.
-CODEGEN_CACHE_ENV = "REPRO_CODEGEN_CACHE_DIR"
 
 #: Bumped whenever the lowering or artifact layout changes shape; stale
 #: artifacts then miss on the header check and are recompiled.
@@ -175,19 +167,6 @@ _SAN_RE = re.compile(r"[^0-9a-zA-Z_]")
 
 def _san(name: str) -> str:
     return _SAN_RE.sub("_", name)
-
-
-def module_digest(module: Module) -> str:
-    """The sha256 of the module's canonical printed form (the analysis
-    cache's module basis) plus each instruction's source line, which
-    fault messages carry: one digest maps to exactly one program.
-    """
-    lines = [
-        ins.line for func in module.functions.values()
-        for ins in func.instructions()
-    ]
-    text = f"{format_module(module)}\n{lines!r}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -902,24 +881,6 @@ def _build_namespace(module: Module) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def resolve_codegen_cache_dir(cache_dir: Optional[str] = None) -> Optional[str]:
-    """Resolve the artifact directory.
-
-    Precedence: explicit argument (empty string disables), then
-    ``REPRO_CODEGEN_CACHE_DIR``, then ``<REPRO_CACHE_DIR>/codegen``,
-    then disabled.
-    """
-    if cache_dir is not None:
-        return resolve_cache_dir(cache_dir)
-    env = os.environ.get(CODEGEN_CACHE_ENV, "").strip()
-    if env:
-        return os.path.expanduser(env)
-    base = resolve_cache_dir(None)
-    if base is None:
-        return None
-    return os.path.join(base, "codegen")
-
-
 def _artifact_path(cache_dir: str, digest: str) -> str:
     return os.path.join(cache_dir, f"{digest}.rpcg")
 
@@ -1048,7 +1009,7 @@ def cached_codegen_program(
 ) -> Optional[CodegenProgram]:
     """The cached program of the module with ``digest``, or None; a hit
     leaves the artifact in the resolved artifact directory (see
-    :func:`resolve_codegen_cache_dir`)."""
+    :func:`repro.env.codegen_cache_dir`)."""
     key = (digest, profiling)
     with _PROGRAM_CACHE_LOCK:
         entry = _PROGRAM_CACHE.get(key)
@@ -1057,7 +1018,7 @@ def cached_codegen_program(
         _PROGRAM_CACHE.move_to_end(key)
     _count("memo_hits", "codegen.compile.memo_hits")
     program, directories = entry
-    directory = resolve_codegen_cache_dir(cache_dir)
+    directory = codegen_cache_dir(cache_dir)
     if directory is not None and directory not in directories:
         name = digest + _PROFILING_SUFFIX if profiling else digest
         if not os.path.exists(_artifact_path(directory, name)):
@@ -1071,17 +1032,18 @@ def compile_module_codegen(
 ) -> CodegenProgram:
     """Lower ``module`` to Python bytecode, once; results are cached.
 
-    Programs are cached by :func:`module_digest` and lowering variant:
+    Programs are cached by
+    :func:`~repro.cache.keys.module_source_digest` and lowering variant:
     in process by :func:`cached_codegen_program`, across processes as
     code objects persisted in the artifact directory (see
-    :func:`resolve_codegen_cache_dir`; pass ``cache_dir=""`` to disable
+    :func:`repro.env.codegen_cache_dir`; pass ``cache_dir=""`` to disable
     persistence).  ``profiling=True`` compiles the profiling lowering
     (:func:`codegen_source`), stored under its own artifact name.
     Raises :class:`CompileError` when the module cannot be lowered —
     callers fall back to the interpreter.
     """
     try:
-        digest = module_digest(module)
+        digest = module_source_digest(module)
         program = cached_codegen_program(digest, profiling, cache_dir)
         if program is None:
             program = _compile_uncached(module, digest, cache_dir, profiling)
@@ -1097,7 +1059,7 @@ def compile_module_codegen(
 def _compile_uncached(
     module: Module, digest: str, cache_dir: Optional[str], profiling: bool
 ) -> CodegenProgram:
-    directory = resolve_codegen_cache_dir(cache_dir)
+    directory = codegen_cache_dir(cache_dir)
     name = digest + _PROFILING_SUFFIX if profiling else digest
     code = None
     if directory is not None:

@@ -16,10 +16,11 @@ across all requests.  Worker threads construct a fresh, cheap
 session's ``cache=`` injection parameter — sessions never open or close
 per-request sqlite handles.
 
-**Request coalescing.**  In-flight duplicates are folded by the exact
-persistent-cache key: module/workload digest × config fingerprint (the
-per-loop component of the cache key is derived from the module, which
-the digest already fixes).  N concurrent identical submissions block on
+**Request coalescing.**  In-flight duplicates are folded by the
+persistent-cache key — module/workload digest × config fingerprint —
+made source-exact by the module's source digest, since a follower
+receives the leader's report, line fields included (see
+:mod:`repro.cache.keys`).  N concurrent identical submissions block on
 one analysis and all receive *byte-identical* response bodies — the
 leader serialises the report JSON once and every follower is handed the
 same bytes.  Followers are marked with an ``X-Repro-Coalesced: 1``
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -73,49 +75,29 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.cache import open_cache
-from repro.cache.keys import module_workload_digest
+from repro.cache.keys import module_source_digest, module_workload_digest
 from repro.core.schedule_engine import (
     engine_queue_depth,
     shared_pool_jobs,
     warm_shared_pool,
 )
+from repro.env import SETTINGS, resolve, schedule_backend
 from repro.lang.errors import MiniCError
 from repro.obs.export import render_openmetrics
 from repro.obs.ledger import RunLedger
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "DEFAULT_PRIORITY",
-    "DEFAULT_QUEUE_DEPTH",
-    "DEFAULT_WORKERS",
+    "MAX_REQUEST_RANDOM_SCHEDULES",
+    "MAX_REQUEST_STEPS",
     "REQUEST_CONFIG_FIELDS",
-    "SERVE_HOST_ENV",
-    "SERVE_PORT_ENV",
-    "SERVE_PRIORITY_ENV",
-    "SERVE_QUEUE_DEPTH_ENV",
-    "SERVE_WORKERS_ENV",
     "AnalysisServer",
     "ServeConfig",
     "ServeClient",
-    "resolve_serve_config",
     "serving",
 ]
 
 # -- configuration ------------------------------------------------------------
-
-SERVE_HOST_ENV = "REPRO_SERVE_HOST"
-SERVE_PORT_ENV = "REPRO_SERVE_PORT"
-SERVE_QUEUE_DEPTH_ENV = "REPRO_SERVE_QUEUE_DEPTH"
-SERVE_WORKERS_ENV = "REPRO_SERVE_WORKERS"
-SERVE_PRIORITY_ENV = "REPRO_SERVE_PRIORITY"
-
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8421
-DEFAULT_QUEUE_DEPTH = 64
-DEFAULT_WORKERS = 4
-DEFAULT_PRIORITY = 10
 
 #: :class:`AnalysisConfig` fields a request body's ``config`` object may
 #: override.  Everything else — backend, jobs, exec backend, cache and
@@ -139,16 +121,24 @@ REQUEST_CONFIG_FIELDS = (
 #: Request bodies past this size are refused with 413.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
+#: Per-request ceilings, refused with 400.  The config fingerprint is
+#: built on the event loop and names every schedule, so the schedule
+#: count bounds how long one request can stall every connection; the
+#: step budget bounds how long one analysis can hold a worker.
+MAX_REQUEST_RANDOM_SCHEDULES = 1000
+MAX_REQUEST_STEPS = 200_000_000
+
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Resolved daemon knobs (see :func:`resolve_serve_config`)."""
+    """Daemon knobs.  Each field is a row of the :mod:`repro.env` table
+    (``--host``/``REPRO_SERVE_HOST`` and so on) and defaults to it."""
 
-    host: str = DEFAULT_HOST
-    port: int = DEFAULT_PORT
-    queue_depth: int = DEFAULT_QUEUE_DEPTH
-    workers: int = DEFAULT_WORKERS
-    default_priority: int = DEFAULT_PRIORITY
+    host: str = SETTINGS["host"].default
+    port: int = SETTINGS["port"].default
+    queue_depth: int = SETTINGS["queue_depth"].default
+    workers: int = SETTINGS["workers"].default
+    default_priority: int = SETTINGS["default_priority"].default
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
@@ -157,62 +147,6 @@ class ServeConfig:
             raise ValueError("workers must be >= 1")
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
-
-
-def _env_int(environ, name: str) -> Optional[int]:
-    raw = environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def resolve_serve_config(
-    host: Optional[str] = None,
-    port: Optional[int] = None,
-    queue_depth: Optional[int] = None,
-    workers: Optional[int] = None,
-    default_priority: Optional[int] = None,
-    environ: Optional[Dict[str, str]] = None,
-) -> ServeConfig:
-    """Resolve serve knobs with the repo-wide precedence convention.
-
-    Mirrors :func:`repro.core.schedule_engine.resolve_schedule_backend`
-    and :func:`repro.interp.backend.resolve_exec_backend`: an explicit
-    argument (CLI flag) beats the environment variable, which beats the
-    built-in default.  Environment knobs: ``REPRO_SERVE_HOST``,
-    ``REPRO_SERVE_PORT``, ``REPRO_SERVE_QUEUE_DEPTH``,
-    ``REPRO_SERVE_WORKERS``, ``REPRO_SERVE_PRIORITY``.
-    """
-    import os
-
-    environ = os.environ if environ is None else environ
-    env_host = environ.get(SERVE_HOST_ENV)
-    if host is None:
-        host = env_host if env_host else DEFAULT_HOST
-    if port is None:
-        port = _env_int(environ, SERVE_PORT_ENV)
-        port = DEFAULT_PORT if port is None else port
-    if queue_depth is None:
-        queue_depth = _env_int(environ, SERVE_QUEUE_DEPTH_ENV)
-        queue_depth = DEFAULT_QUEUE_DEPTH if queue_depth is None else queue_depth
-    if workers is None:
-        workers = _env_int(environ, SERVE_WORKERS_ENV)
-        workers = DEFAULT_WORKERS if workers is None else workers
-    if default_priority is None:
-        default_priority = _env_int(environ, SERVE_PRIORITY_ENV)
-        default_priority = (
-            DEFAULT_PRIORITY if default_priority is None else default_priority
-        )
-    return ServeConfig(
-        host=host,
-        port=int(port),
-        queue_depth=int(queue_depth),
-        workers=int(workers),
-        default_priority=int(default_priority),
-    )
 
 
 # -- request plumbing ---------------------------------------------------------
@@ -241,6 +175,31 @@ def _json_bytes(payload: Dict[str, object]) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     )
+
+
+def _check_bounds(config: AnalysisConfig) -> None:
+    """Refuse a request whose schedule count or step budget exceeds the
+    per-request ceilings."""
+    if config.n_random_schedules > MAX_REQUEST_RANDOM_SCHEDULES:
+        raise ValueError(
+            f"n_random_schedules={config.n_random_schedules} exceeds "
+            f"{MAX_REQUEST_RANDOM_SCHEDULES}"
+        )
+    if config.max_steps is not None and config.max_steps > MAX_REQUEST_STEPS:
+        raise ValueError(
+            f"max_steps={config.max_steps} exceeds {MAX_REQUEST_STEPS}"
+        )
+
+
+def _compile(source: str, config: AnalysisConfig) -> Tuple[object, str, str]:
+    """Worker-thread compile: the module, its layout-blind workload
+    digest (the response's ``module_digest``) and its source-exact
+    digest (the coalescing key)."""
+    from repro.driver import compile_program
+
+    module = compile_program(source)
+    digest = module_workload_digest(module, config.entry, list(config.args))
+    return module, digest, module_source_digest(module)
 
 
 class _Flight:
@@ -284,7 +243,9 @@ class AnalysisServer:
         config: Optional[ServeConfig] = None,
         base: Optional[AnalysisConfig] = None,
     ) -> None:
-        self.config = config or resolve_serve_config()
+        self.config = config or ServeConfig(**{
+            f.name: resolve(f.name) for f in dataclasses.fields(ServeConfig)
+        })
         self.base = base or AnalysisConfig()
         self.port: Optional[int] = None  # actual bound port (for port 0)
         self.ready = threading.Event()
@@ -299,7 +260,7 @@ class AnalysisServer:
         self._cache = open_cache(
             self.base.cache_dir, mode=self.base.cache_mode
         )
-        self._ledger_dir = self.base.resolved_ledger_dir()
+        self._ledger_dir = self.base.resolved("ledger_dir")
         # Per-request session config: ledger rows are recorded by the
         # server itself (kind="serve-*"), never by inner sessions; a
         # disabled server cache disables per-request opens too.
@@ -351,7 +312,7 @@ class AnalysisServer:
         self._shutdown = asyncio.Event()
         self._started_at = time.time()
 
-        backend, jobs = self.base.resolved_backend()
+        backend, jobs = schedule_backend(self.base.backend, self.base.jobs)
         if backend == "process":
             # Pre-fork the shared engine pool so the first request does
             # not pay the fork+import bill.
@@ -576,6 +537,7 @@ class AnalysisServer:
             priority = int(
                 payload.get("priority", self.config.default_priority)
             )
+            _check_bounds(config)
         except (TypeError, ValueError) as exc:
             return 400, _json_bytes({"error": str(exc)}), []
 
@@ -610,11 +572,11 @@ class AnalysisServer:
         flight.keys.append(skey)
         self._flights[skey] = flight
         try:
-            from repro.driver import compile_program
-
             try:
-                module = await self._loop.run_in_executor(
-                    self._executor, compile_program, source
+                module, digest, source_digest = (
+                    await self._loop.run_in_executor(
+                        self._executor, _compile, source, config
+                    )
                 )
             except MiniCError as exc:
                 status = 400
@@ -628,14 +590,13 @@ class AnalysisServer:
                     flight.future.set_result((status, body))
                 return status, body, []
 
-            digest = module_workload_digest(
-                module, config.entry, list(config.args)
-            )
-            dkey = ("mod", kind, digest, fingerprint)
+            # Source-exact: a follower gets the leader's report bytes,
+            # whose line fields must be its own (see repro.cache.keys).
+            dkey = ("mod", kind, digest, source_digest, fingerprint)
             existing = self._flights.get(dkey)
             if existing is not None and existing is not flight:
-                # Same module via different source text: join the
-                # earlier flight, dissolve ours.
+                # Same program via different source text (a comment or
+                # trailing blanks): join the earlier flight, dissolve ours.
                 for key in flight.keys:
                     self._flights.pop(key, None)
                 await self._release_slot()
@@ -999,8 +960,8 @@ class ServeClient:
         parts = urlsplit(url if "//" in url else f"http://{url}")
         if parts.scheme not in ("", "http"):
             raise ValueError(f"only http:// URLs are supported: {url!r}")
-        self.host = parts.hostname or DEFAULT_HOST
-        self.port = parts.port or DEFAULT_PORT
+        self.host = parts.hostname or SETTINGS["host"].default
+        self.port = parts.port or SETTINGS["port"].default
         self.timeout = timeout
 
     def _connection(self):

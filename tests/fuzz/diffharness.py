@@ -50,7 +50,7 @@ from repro.analysis.commutativity import (
     StaticCommutativityAnalysis,
 )
 from repro.analysis.dynamic_deps import DynamicDepProfiler
-from repro.analysis.specs import default_registry, registry_from_env
+from repro.analysis.specs import default_registry
 from repro.cache import AnalysisCache
 from repro.core.dca import DcaAnalyzer
 from repro.core.report import (
@@ -65,6 +65,7 @@ from repro.core.report import (
 )
 from repro.core.schedules import ScheduleConfig
 from repro.driver import compile_program
+from repro.env import resolve
 from repro.interp.backend import create_profiling_executor
 from repro.interp.values import MiniCRuntimeError
 
@@ -164,7 +165,8 @@ def differential_check(
     # above did (REPRO_SPECS), so the agreement check compares the two
     # stages under one verification semantics.
     static = StaticCommutativityAnalysis(
-        compile_program(source), specs=registry_from_env()
+        compile_program(source),
+        specs=default_registry() if resolve("specs") else None,
     ).analyze()
     for label, verdict in static.items():
         if not verdict.is_proven or label not in serial.results:

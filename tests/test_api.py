@@ -16,8 +16,7 @@ import pytest
 
 import repro.obs as obs
 from repro.api import AnalysisConfig, AnalysisSession
-from repro.core.schedule_engine import resolve_schedule_backend
-from repro.interp.backend import EXEC_BACKENDS, resolve_exec_backend
+from repro.env import EXEC_BACKENDS, resolve, schedule_backend
 
 PROGRAM = """
 func void main() {
@@ -134,41 +133,41 @@ def test_fingerprint_matches_analyzer_cache_key():
 def test_explicit_backend_beats_env(monkeypatch):
     monkeypatch.setenv("REPRO_SCHEDULE_BACKEND", "process")
     monkeypatch.delenv("REPRO_SCHEDULE_JOBS", raising=False)
-    assert resolve_schedule_backend("serial", None) == ("serial", None)
+    assert schedule_backend("serial", None) == ("serial", None)
 
 
 def test_explicit_jobs_imply_process_despite_env_serial(monkeypatch):
     monkeypatch.setenv("REPRO_SCHEDULE_BACKEND", "serial")
-    assert resolve_schedule_backend(None, 4) == ("process", 4)
+    assert schedule_backend(None, 4) == ("process", 4)
 
 
 def test_env_backend_applies_without_flags(monkeypatch):
     monkeypatch.setenv("REPRO_SCHEDULE_BACKEND", "process")
     monkeypatch.delenv("REPRO_SCHEDULE_JOBS", raising=False)
-    assert resolve_schedule_backend(None, None) == ("process", None)
+    assert schedule_backend(None, None) == ("process", None)
 
 
 def test_env_jobs_imply_process(monkeypatch):
     monkeypatch.delenv("REPRO_SCHEDULE_BACKEND", raising=False)
     monkeypatch.setenv("REPRO_SCHEDULE_JOBS", "3")
-    assert resolve_schedule_backend(None, None) == ("process", 3)
+    assert schedule_backend(None, None) == ("process", 3)
 
 
 def test_explicit_single_job_stays_serial(monkeypatch):
     monkeypatch.delenv("REPRO_SCHEDULE_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_SCHEDULE_JOBS", raising=False)
-    assert resolve_schedule_backend(None, 1) == ("serial", 1)
+    assert schedule_backend(None, 1) == ("serial", 1)
 
 
 def test_explicit_exec_backend_beats_env(monkeypatch):
     # The explicit argument must beat REPRO_EXEC_BACKEND for every
     # backend pairing — the same precedence contract documented on
-    # resolve_schedule_backend.
+    # repro.env.schedule_backend.
     for env_choice in EXEC_BACKENDS:
         monkeypatch.setenv("REPRO_EXEC_BACKEND", env_choice)
-        assert resolve_exec_backend(None) == env_choice
+        assert resolve("exec_backend", None) == env_choice
         for explicit in EXEC_BACKENDS:
-            assert resolve_exec_backend(explicit) == explicit
+            assert resolve("exec_backend", explicit) == explicit
 
 
 def test_compiled_exec_backend_is_rejected(capsys):
@@ -178,7 +177,7 @@ def test_compiled_exec_backend_is_rejected(capsys):
     from repro.cli import main
 
     for reject in (
-        lambda: resolve_exec_backend("compiled"),
+        lambda: resolve("exec_backend", "compiled"),
         lambda: AnalysisConfig(exec_backend="compiled"),
     ):
         with pytest.raises(ValueError, match="'compiled'") as exc:
@@ -195,24 +194,25 @@ def test_compiled_exec_backend_is_rejected(capsys):
 
 def test_config_resolution_uses_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-    assert AnalysisConfig().resolved_exec_backend() == "codegen"
+    assert AnalysisConfig().resolved("exec_backend") == "codegen"
     monkeypatch.setenv("REPRO_SCHEDULE_BACKEND", "serial")
     monkeypatch.setenv("REPRO_EXEC_BACKEND", "codegen")
     config = AnalysisConfig(jobs=2, exec_backend="interp")
-    assert config.resolved_backend() == ("process", 2)
-    assert config.resolved_exec_backend() == "interp"
-    assert AnalysisConfig().resolved_exec_backend() == "codegen"
+    assert config.resolved("backend") == "process"
+    assert config.resolved("jobs") == 2
+    assert config.resolved("exec_backend") == "interp"
+    assert AnalysisConfig().resolved("exec_backend") == "codegen"
     monkeypatch.setenv("REPRO_EXEC_BACKEND", "interp")
-    assert AnalysisConfig().resolved_exec_backend() == "interp"
+    assert AnalysisConfig().resolved("exec_backend") == "interp"
     assert AnalysisConfig(
         exec_backend="codegen"
-    ).resolved_exec_backend() == "codegen"
+    ).resolved("exec_backend") == "codegen"
 
 
 def test_cache_mode_off_ignores_env_dir(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    assert AnalysisConfig().resolved_cache_dir() == str(tmp_path)
-    assert AnalysisConfig(cache_mode="off").resolved_cache_dir() is None
+    assert AnalysisConfig().resolved("cache_dir") == str(tmp_path)
+    assert AnalysisConfig(cache_mode="off").resolved("cache_dir") is None
 
 
 @pytest.mark.parametrize("blank", ["", "  "])
@@ -220,7 +220,7 @@ def test_empty_cache_dir_disables_the_cache(monkeypatch, tmp_path, blank):
     # An explicit empty directory means "no cache" and beats the env, as
     # it does for the codegen artifact directory.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-    assert AnalysisConfig(cache_dir=blank).resolved_cache_dir() is None
+    assert AnalysisConfig(cache_dir=blank).resolved("cache_dir") is None
     monkeypatch.delenv("REPRO_CACHE_DIR")
     monkeypatch.chdir(tmp_path)
     with AnalysisSession(AnalysisConfig(cache_dir=blank)) as session:
@@ -250,6 +250,8 @@ def test_cli_backend_flag_beats_env(monkeypatch, capsys):
         ("REPRO_SCHEDULE_BACKEND", "unknown schedule backend 'bogus'"),
         ("REPRO_SPECS", "REPRO_SPECS='bogus' is not a boolean switch"),
         ("REPRO_TIERING", "REPRO_TIERING='bogus' is not a boolean switch"),
+        ("REPRO_SCHEDULE_JOBS",
+         "REPRO_SCHEDULE_JOBS='bogus' is not an integer"),
     ],
 )
 def test_cli_bad_backend_env_is_a_usage_error(monkeypatch, capsys, env, message):
@@ -264,6 +266,22 @@ def test_cli_bad_backend_env_is_a_usage_error(monkeypatch, capsys, env, message)
     err = capsys.readouterr().err
     assert f"repro: error: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["jobs", "n_random_schedules"])
+def test_config_rejects_negative_counts(field):
+    with pytest.raises(ValueError, match=field):
+        AnalysisConfig(**{field: -2})
+
+
+def test_cli_negative_jobs_is_a_usage_error(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "examples/histogram.mc", "--jobs", "-2",
+              "--no-cache"])
+    assert exit_info.value.code == 2
+    assert "jobs=-2 must be >= 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import sqlite3
 import pytest
 
 from repro.api import AnalysisConfig, AnalysisSession
-from repro.cache import AnalysisCache, open_cache, resolve_cache_dir
+from repro.cache import AnalysisCache, open_cache
 from repro.cache.keys import SEMANTICS_VERSION
 from repro.cache.store import CACHE_DB_NAME
 from repro.core.dca import DcaAnalyzer
@@ -149,11 +149,15 @@ def test_semantics_version_purge(tmp_path):
 
 
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
+    # open_cache resolves its directory through the cache_dir row.
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    assert resolve_cache_dir(None) is None
+    assert open_cache(None) is None
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-    assert resolve_cache_dir(None) == str(tmp_path / "env")
-    assert resolve_cache_dir(str(tmp_path / "flag")) == str(tmp_path / "flag")
+    flag = str(tmp_path / "flag")
+    for explicit, expected in ((None, "env"), (flag, "flag")):
+        with open_cache(explicit) as cache:
+            assert cache.directory == str(tmp_path / expected)
+    assert open_cache("") is None
     assert open_cache(None, mode="off") is None
 
 

@@ -16,9 +16,11 @@ import os
 
 import pytest
 
+from repro.cache.keys import module_source_digest
 from repro.core.dca import DcaAnalyzer
 from repro.core.runtime import DcaRuntime
 from repro.driver import compile_program, run_program
+from repro.env import EXEC_BACKENDS, codegen_cache_dir
 from repro.interp import (
     CodegenExecutor,
     CompileError,
@@ -26,23 +28,21 @@ from repro.interp import (
     MiniCRuntimeError,
     compile_module_codegen,
     create_executor,
-    module_digest,
-    resolve_exec_backend,
 )
 from repro.interp.codegen import (
     _PROGRAM_CACHE,
     _PROGRAM_CACHE_MAX,
-    CODEGEN_CACHE_ENV,
     _artifact_path,
     codegen_source,
     codegen_stats,
-    resolve_codegen_cache_dir,
 )
-from repro.interp.backend import EXEC_BACKEND_ENV, EXEC_BACKENDS
 from repro.interp.events import Observer
 from repro.interp.interpreter import RuntimeHooks
 from repro.interp.profiler import Profiler
 from repro.ir.printer import format_module
+
+EXEC_BACKEND_ENV = "REPRO_EXEC_BACKEND"
+CODEGEN_CACHE_ENV = "REPRO_CODEGEN_CACHE_DIR"
 
 CORPUS = sorted(
     glob.glob(
@@ -291,19 +291,25 @@ def test_codegen_in_exec_backends():
 
 
 def test_resolve_exec_backend_codegen(monkeypatch):
+    # create_executor's exec_backend=None asks the environment.
+    module = compile_program("func int main() { return 41 + 1; }")
+
+    def executor(explicit=None):
+        return create_executor(module, exec_backend=explicit,
+                               obs_enabled=False)
+
     monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
-    assert resolve_exec_backend(None) == "codegen"
-    assert resolve_exec_backend("interp") == "interp"
+    assert isinstance(executor(), CodegenExecutor)
+    assert type(executor("interp")) is Interpreter
     monkeypatch.setenv(EXEC_BACKEND_ENV, "interp")
-    assert resolve_exec_backend(None) == "interp"
-    # Explicit flag beats the env var for every backend.
-    for explicit in EXEC_BACKENDS:
-        assert resolve_exec_backend(explicit) == explicit
+    assert type(executor()) is Interpreter
+    # Explicit flag beats the env var.
+    assert isinstance(executor("codegen"), CodegenExecutor)
     with pytest.raises(ValueError):
-        resolve_exec_backend("jit")
+        executor("jit")
     monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
-    with pytest.raises(ValueError):
-        resolve_exec_backend(None)
+    with pytest.raises(ValueError, match=EXEC_BACKEND_ENV):
+        executor()
 
 
 def test_create_executor_codegen_and_fallback():
@@ -382,7 +388,7 @@ def test_disk_cache_cold_then_warm(tmp_path):
     mid = dict(codegen_stats())
     assert mid["compiles"] - before["compiles"] == 1
     assert mid["disk_misses"] - before["disk_misses"] == 1
-    digest = module_digest(_fresh(SRC))
+    digest = module_source_digest(_fresh(SRC))
     assert os.path.exists(_artifact_path(cache_dir, digest))
 
     # In a new process, the digest-keyed artifact serves the compile.
@@ -398,17 +404,15 @@ def test_disk_cache_cold_then_warm(tmp_path):
 
 def test_disk_cache_env_resolution(tmp_path, monkeypatch):
     monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path / "fromenv"))
-    assert resolve_codegen_cache_dir(None) == str(tmp_path / "fromenv")
+    assert codegen_cache_dir(None) == str(tmp_path / "fromenv")
     # Explicit argument beats the env; empty string disables.
-    assert resolve_codegen_cache_dir(str(tmp_path / "arg")) == str(
-        tmp_path / "arg"
-    )
-    assert resolve_codegen_cache_dir("") is None
+    assert codegen_cache_dir(str(tmp_path / "arg")) == str(tmp_path / "arg")
+    assert codegen_cache_dir("") is None
     monkeypatch.delenv(CODEGEN_CACHE_ENV, raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "base"))
-    assert resolve_codegen_cache_dir(None) == str(tmp_path / "base" / "codegen")
+    assert codegen_cache_dir(None) == str(tmp_path / "base" / "codegen")
     monkeypatch.setenv("REPRO_CACHE_DIR", "")
-    assert resolve_codegen_cache_dir(None) is None
+    assert codegen_cache_dir(None) is None
 
 
 @pytest.mark.parametrize(
@@ -419,7 +423,7 @@ def test_disk_cache_tamper_recompiles_never_wrong(tmp_path, tamper):
     cache_dir = str(tmp_path)
     _new_process()
     compile_module_codegen(_fresh(SRC), cache_dir=cache_dir)
-    digest = module_digest(_fresh(SRC))
+    digest = module_source_digest(_fresh(SRC))
     path = _artifact_path(cache_dir, digest)
     blob = open(path, "rb").read()
     if tamper == "flip-payload":
@@ -481,9 +485,11 @@ def test_memo_from_unpersisted_compile_still_writes_artifact(
     after = dict(codegen_stats())
     assert after["compiles"] == before["compiles"]
     assert after["memo_hits"] - before["memo_hits"] == 2
-    assert os.path.exists(_artifact_path(str(tmp_path), module_digest(module)))
+    digest = module_source_digest(module)
+    assert os.path.exists(_artifact_path(str(tmp_path), digest))
     assert os.path.exists(_artifact_path(str(tmp_path), task.module_digest))
-    assert task.module_digest == module_digest(pickle.loads(task.module_blob))
+    blob_module = pickle.loads(task.module_blob)
+    assert task.module_digest == module_source_digest(blob_module)
 
 
 def test_profiling_lowering_has_its_own_artifact(tmp_path):
@@ -496,7 +502,7 @@ def test_profiling_lowering_has_its_own_artifact(tmp_path):
     mid = dict(codegen_stats())
     assert mid["compiles"] - before["compiles"] == 1
     assert profiling.profiling and not plain.profiling
-    digest = module_digest(_fresh(SRC))
+    digest = module_source_digest(_fresh(SRC))
     assert os.path.exists(_artifact_path(cache_dir, digest + "-profile"))
     assert "_p_enter" in codegen_source(_fresh(SRC), profiling=True)
     assert "_p_" not in codegen_source(_fresh(SRC))
@@ -549,7 +555,7 @@ def test_compile_module_is_cached_per_module(tmp_path):
     cache_dir = str(tmp_path)
     module = compile_program("func int main() { return 7; }")
     program = compile_module_codegen(module, cache_dir=cache_dir)
-    key = (module_digest(module), False)
+    key = (module_source_digest(module), False)
     assert key in _PROGRAM_CACHE
     # A distinct but printed-identical module gets the same program from
     # memory, without reading the disk artifact.
@@ -586,7 +592,7 @@ def test_source_lines_are_part_of_the_digest(tmp_path):
     assert format_module(compile_program(one)) == format_module(
         compile_program(two)
     )
-    assert module_digest(compile_program(one)) != module_digest(
+    assert module_source_digest(compile_program(one)) != module_source_digest(
         compile_program(two)
     )
     compile_module_codegen(compile_program(one), cache_dir=str(tmp_path))

@@ -16,17 +16,14 @@ import pytest
 
 from repro.core.dca import DcaAnalyzer
 from repro.driver import compile_program, run_program
-from repro.interp import (
-    Interpreter,
-    MiniCRuntimeError,
-    create_executor,
-    resolve_exec_backend,
-)
-from repro.interp.backend import EXEC_BACKEND_ENV, EXEC_BACKENDS
+from repro.env import EXEC_BACKENDS
+from repro.interp import Interpreter, MiniCRuntimeError, create_executor
 from repro.interp.events import Observer
 from repro.interp.profiler import Profiler
 
 from test_codegen import FAULT_PROGRAMS
+
+EXEC_BACKEND = "REPRO_EXEC_BACKEND"
 
 #: Every backend the seam can select besides the reference interpreter.
 COMPILING_BACKENDS = tuple(b for b in EXEC_BACKENDS if b != "interp")
@@ -127,29 +124,35 @@ def test_missing_entry_and_arity_messages():
 
 
 def test_resolve_exec_backend_explicit_env_default(monkeypatch):
-    monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
-    assert resolve_exec_backend(None) == "codegen"
-    monkeypatch.setenv(EXEC_BACKEND_ENV, "  ")
-    assert resolve_exec_backend(None) == "codegen"
+    # The analyzer's exec_backend=None asks the environment.
+    module = compile_program("func int main() { return 1; }")
+
+    def analyzer_backend(explicit):
+        return DcaAnalyzer(module, exec_backend=explicit).exec_backend
+
+    monkeypatch.delenv(EXEC_BACKEND, raising=False)
+    assert analyzer_backend(None) == "codegen"
+    monkeypatch.setenv(EXEC_BACKEND, "  ")
+    assert analyzer_backend(None) == "codegen"
     # Explicit beats env for every (explicit, env) pair; env beats default.
     for env in EXEC_BACKENDS:
-        monkeypatch.setenv(EXEC_BACKEND_ENV, env)
-        assert resolve_exec_backend(None) == env
+        monkeypatch.setenv(EXEC_BACKEND, env)
+        assert analyzer_backend(None) == env
         for explicit in EXEC_BACKENDS:
-            assert resolve_exec_backend(explicit) == explicit
+            assert analyzer_backend(explicit) == explicit
     # A bad env value is never read when an explicit name is given.
-    monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
-    assert resolve_exec_backend("interp") == "interp"
+    monkeypatch.setenv(EXEC_BACKEND, "bogus")
+    assert analyzer_backend("interp") == "interp"
     with pytest.raises(ValueError, match="bogus"):
-        resolve_exec_backend(None)
+        analyzer_backend(None)
     # The retired closure backend is rejected like any unknown name.
     for bad in ("compiled", "jit"):
         with pytest.raises(ValueError, match=re.escape(repr(EXEC_BACKENDS))):
-            resolve_exec_backend(bad)
+            analyzer_backend(bad)
 
 
 def test_create_executor_backend_and_fallback(monkeypatch):
-    monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
+    monkeypatch.delenv(EXEC_BACKEND, raising=False)
     module = compile_program("func int main() { return 41 + 1; }")
     reference = create_executor(module, exec_backend="interp")
     assert type(reference) is Interpreter
@@ -171,15 +174,15 @@ def test_create_executor_backend_and_fallback(monkeypatch):
 
 
 def test_run_program_exec_backend_threading(monkeypatch):
-    monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
+    monkeypatch.delenv(EXEC_BACKEND, raising=False)
     src = 'func void main() { print("hi", 1 + 1); }'
     expected = (None, "hi 2\n")
     assert run_program(src) == expected
     for backend in EXEC_BACKENDS:
         assert run_program(src, exec_backend=backend) == expected
-        monkeypatch.setenv(EXEC_BACKEND_ENV, backend)
+        monkeypatch.setenv(EXEC_BACKEND, backend)
         assert run_program(src) == expected
-    monkeypatch.setenv(EXEC_BACKEND_ENV, "compiled")
+    monkeypatch.setenv(EXEC_BACKEND, "compiled")
     with pytest.raises(ValueError):
         run_program(src)
     # The step budget reaches the executor on every backend.

@@ -9,12 +9,11 @@ import json
 
 import pytest
 
+from repro.api import AnalysisConfig, AnalysisSession
 from repro.cli import main
-from repro.obs.ledger import (
-    LEDGER_DIR_ENV,
-    RunLedger,
-    resolve_ledger_dir,
-)
+from repro.obs.ledger import RunLedger
+
+LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
 
 PROGRAM = """
 func void main() {
@@ -94,11 +93,20 @@ def test_ledger_persists_across_handles(tmp_path):
 
 
 def test_resolve_ledger_dir_precedence(tmp_path, monkeypatch):
+    # A session opens the ledger the ledger_dir row resolves to; the
+    # directory rule matches the cache's: strip, expand ~, blank disables.
+    def ledger_dir(explicit):
+        with AnalysisSession(AnalysisConfig(ledger_dir=explicit)) as session:
+            return session.ledger and session.ledger.directory
+
+    monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.delenv(LEDGER_DIR_ENV, raising=False)
-    assert resolve_ledger_dir(None) is None
-    monkeypatch.setenv(LEDGER_DIR_ENV, str(tmp_path))
-    assert resolve_ledger_dir(None) == str(tmp_path)
-    assert resolve_ledger_dir("/explicit") == "/explicit"
+    assert ledger_dir(None) is None
+    monkeypatch.setenv(LEDGER_DIR_ENV, " ~/env ")
+    assert ledger_dir(None) == str(tmp_path / "env")
+    assert ledger_dir(str(tmp_path / "flag")) == str(tmp_path / "flag")
+    for disabled in ("", "  ", "off"):
+        assert ledger_dir(disabled) is None
 
 
 # -- trends and regressions ----------------------------------------------------
@@ -287,8 +295,6 @@ def test_session_records_analyze_runs(program_file, tmp_path):
 
 
 def test_ledger_off_sentinel_beats_env(program_file, tmp_path, monkeypatch):
-    from repro.api import AnalysisConfig, AnalysisSession
-
     ledger_dir = tmp_path / "ledger"
     monkeypatch.setenv(LEDGER_DIR_ENV, str(ledger_dir))
     with AnalysisSession(AnalysisConfig(ledger_dir="off")) as session:
@@ -297,8 +303,6 @@ def test_ledger_off_sentinel_beats_env(program_file, tmp_path, monkeypatch):
 
 
 def test_ledger_dir_not_in_fingerprint(tmp_path):
-    from repro.api import AnalysisConfig
-
     base = AnalysisConfig()
     assert base.fingerprint() == AnalysisConfig(
         ledger_dir=str(tmp_path)

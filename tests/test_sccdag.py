@@ -27,7 +27,6 @@ from repro.analysis.sccdag import (
     ParallelismTier,
     build_sccdag,
     partition_stages,
-    resolve_tiering,
     stage_shapes,
     tier_display,
 )
@@ -269,16 +268,21 @@ def test_pipeline_empty_costs():
 # -- tiering resolution (flag > env > default) --------------------------------
 
 
+def _analyzer_tiering(explicit):
+    """DcaAnalyzer's tiering=None asks the environment."""
+    return DcaAnalyzer(compile_program(CURSOR), tiering=explicit).tiering
+
+
 def test_resolve_tiering_default_off(monkeypatch):
     monkeypatch.delenv("REPRO_TIERING", raising=False)
-    assert resolve_tiering(None) is False
+    assert _analyzer_tiering(None) is False
 
 
 def test_resolve_tiering_env(monkeypatch):
     monkeypatch.setenv("REPRO_TIERING", "1")
-    assert resolve_tiering(None) is True
+    assert _analyzer_tiering(None) is True
     monkeypatch.setenv("REPRO_TIERING", "off")
-    assert resolve_tiering(None) is False
+    assert _analyzer_tiering(None) is False
 
 
 @pytest.mark.parametrize("raw, meaning", ENV_FLAG_SPELLINGS)
@@ -289,16 +293,16 @@ def test_resolve_tiering_env_spellings(monkeypatch, raw, meaning):
         monkeypatch.setenv("REPRO_TIERING", raw)
     if meaning == "error":
         with pytest.raises(ValueError, match="REPRO_TIERING"):
-            resolve_tiering(None)
+            _analyzer_tiering(None)
     else:
-        assert resolve_tiering(None) is bool(meaning)
+        assert _analyzer_tiering(None) is bool(meaning)
 
 
 def test_resolve_tiering_explicit_beats_env(monkeypatch):
     monkeypatch.setenv("REPRO_TIERING", "1")
-    assert resolve_tiering(False) is False
-    monkeypatch.delenv("REPRO_TIERING")
-    assert resolve_tiering(True) is True
+    assert _analyzer_tiering(False) is False
+    monkeypatch.setenv("REPRO_TIERING", "enabled")
+    assert _analyzer_tiering(True) is True
 
 
 def test_parallelism_tier_enum_values():

@@ -9,29 +9,25 @@ temp-dir cache/ledger, so tests are hermetic and parallel-safe.
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import repro.serve
 from repro.api import AnalysisConfig
+from repro.cli import main
 from repro.obs.export import parse_openmetrics
 from repro.obs.ledger import RunLedger
 from repro.serve import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    DEFAULT_PRIORITY,
-    DEFAULT_QUEUE_DEPTH,
-    DEFAULT_WORKERS,
-    SERVE_HOST_ENV,
-    SERVE_PORT_ENV,
-    SERVE_PRIORITY_ENV,
-    SERVE_QUEUE_DEPTH_ENV,
-    SERVE_WORKERS_ENV,
+    MAX_REQUEST_RANDOM_SCHEDULES,
+    MAX_REQUEST_STEPS,
     AnalysisServer,
     ServeClient,
     ServeConfig,
-    resolve_serve_config,
     serving,
 )
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 GOOD = """
 func void main() {
@@ -60,65 +56,88 @@ BROKEN = "func void main( {"
 
 
 # ---------------------------------------------------------------------------
-# resolve_serve_config: explicit flag > env var > default
+# ServeConfig from flags and environment: explicit flag > env var > default
 # ---------------------------------------------------------------------------
+
+SERVE_ENV = {
+    "REPRO_SERVE_HOST": "0.0.0.0",
+    "REPRO_SERVE_PORT": "9000",
+    "REPRO_SERVE_QUEUE_DEPTH": "7",
+    "REPRO_SERVE_WORKERS": "2",
+    "REPRO_SERVE_PRIORITY": "3",
+}
+
+
+def _set_serve_env(monkeypatch, environ):
+    for name in SERVE_ENV:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+
+
+def _env_server_config(monkeypatch, environ):
+    """The config a server built without one resolves from ``environ``."""
+    _set_serve_env(monkeypatch, environ)
+    server = AnalysisServer(
+        base=AnalysisConfig(cache_mode="off", ledger_dir="off")
+    )
+    server._executor.shutdown()
+    return server.config
 
 
 class TestResolveServeConfig:
-    def test_defaults(self):
-        cfg = resolve_serve_config(environ={})
-        assert cfg == ServeConfig(
-            host=DEFAULT_HOST,
-            port=DEFAULT_PORT,
-            queue_depth=DEFAULT_QUEUE_DEPTH,
-            workers=DEFAULT_WORKERS,
-            default_priority=DEFAULT_PRIORITY,
+    def test_defaults(self, monkeypatch):
+        assert _env_server_config(monkeypatch, {}) == ServeConfig(
+            host="127.0.0.1",
+            port=8421,
+            queue_depth=64,
+            workers=4,
+            default_priority=10,
         )
 
-    def test_env_beats_default(self):
-        cfg = resolve_serve_config(
-            environ={
-                SERVE_HOST_ENV: "0.0.0.0",
-                SERVE_PORT_ENV: "9000",
-                SERVE_QUEUE_DEPTH_ENV: "7",
-                SERVE_WORKERS_ENV: "2",
-                SERVE_PRIORITY_ENV: "3",
-            }
-        )
+    def test_env_beats_default(self, monkeypatch):
+        cfg = _env_server_config(monkeypatch, SERVE_ENV)
         assert cfg.host == "0.0.0.0"
         assert cfg.port == 9000
         assert cfg.queue_depth == 7
         assert cfg.workers == 2
         assert cfg.default_priority == 3
 
-    def test_explicit_beats_env(self):
-        cfg = resolve_serve_config(
-            host="10.0.0.1",
-            port=1234,
-            queue_depth=5,
-            workers=1,
-            default_priority=0,
-            environ={
-                SERVE_HOST_ENV: "0.0.0.0",
-                SERVE_PORT_ENV: "9000",
-                SERVE_QUEUE_DEPTH_ENV: "7",
-                SERVE_WORKERS_ENV: "2",
-                SERVE_PRIORITY_ENV: "3",
-            },
+    def test_explicit_beats_env(self, monkeypatch):
+        # `repro serve` flags win over the environment.
+        served = []
+        monkeypatch.setattr(
+            repro.serve.AnalysisServer, "run",
+            lambda server: served.append(server.config),
         )
-        assert cfg.host == "10.0.0.1"
-        assert cfg.port == 1234
-        assert cfg.queue_depth == 5
-        assert cfg.workers == 1
-        assert cfg.default_priority == 0
+        _set_serve_env(monkeypatch, SERVE_ENV)
+        assert main([
+            "serve", "--host", "10.0.0.1", "--port", "1234",
+            "--queue-depth", "5", "--workers", "1", "--priority", "0",
+            "--no-cache", "--no-ledger",
+        ]) == 0
+        assert served == [ServeConfig(
+            host="10.0.0.1", port=1234, queue_depth=5, workers=1,
+            default_priority=0,
+        )]
 
-    def test_empty_env_value_means_default(self):
-        cfg = resolve_serve_config(environ={SERVE_PORT_ENV: ""})
-        assert cfg.port == DEFAULT_PORT
+    def test_empty_env_value_means_default(self, monkeypatch):
+        cfg = _env_server_config(monkeypatch, {"REPRO_SERVE_PORT": ""})
+        assert cfg.port == ServeConfig().port
 
-    def test_non_integer_env_rejected(self):
+    def test_non_integer_env_rejected(self, monkeypatch, capsys):
         with pytest.raises(ValueError, match="REPRO_SERVE_PORT"):
-            resolve_serve_config(environ={SERVE_PORT_ENV: "abc"})
+            _env_server_config(monkeypatch, {"REPRO_SERVE_PORT": "abc"})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--no-cache"])
+        assert exit_info.value.code == 2
+        assert "REPRO_SERVE_PORT='abc'" in capsys.readouterr().err
+
+    def test_client_defaults_to_the_server_defaults(self):
+        client = ServeClient("http://")
+        assert (client.host, client.port) == (
+            ServeConfig().host, ServeConfig().port,
+        )
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
@@ -318,6 +337,56 @@ class TestCoalescing:
         assert len(rows) == 2
         assert any(row["cache_hits"] > 0 for row in rows)
         assert any(row["cache_misses"] > 0 for row in rows)
+
+
+    def test_layout_variants_do_not_coalesce(self, client, server):
+        """Sources that differ only in leading blank lines share a
+        layout-blind workload digest, but each report must carry its own
+        loop lines, so concurrent submissions never share a flight."""
+        histogram = (EXAMPLES / "histogram.mc").read_text()
+        variants = [histogram, "\n" * 3 + histogram, "\n" * 6 + histogram]
+        config = {"static_filter": False, "n_random_schedules": 20}
+        with ThreadPoolExecutor(len(variants)) as pool:
+            results = list(pool.map(
+                lambda source: client.analyze(source, config=config),
+                variants,
+            ))
+        assert [status for status, _, _ in results] == [200] * 3
+        lines = [
+            [loop["line"] for loop in data["report"]["loops"].values()]
+            for _, _, data in results
+        ]
+        assert lines == [[7, 10, 14], [10, 13, 17], [13, 16, 20]]
+        assert len({data["module_digest"] for _, _, data in results}) == 1
+        assert server.metrics.value("serve.coalesced", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# Per-request bounds
+# ---------------------------------------------------------------------------
+
+
+class TestRequestBounds:
+    @pytest.mark.parametrize("field, value", [
+        ("n_random_schedules", 10**6),
+        ("max_steps", 10**12),
+    ])
+    def test_hostile_request_is_400(self, client, field, value):
+        # Refused before the fingerprint names a million schedules on
+        # the event loop; the server keeps answering.
+        status, _, data = client.analyze(GOOD, config={field: value})
+        assert status == 400
+        assert field in data["error"]
+        assert client.healthz()["status"] == "ok"
+        status, _, _ = client.analyze(GOOD)
+        assert status == 200
+
+    def test_ceilings_are_accepted(self, client):
+        status, _, _ = client.analyze(GOOD, config={
+            "n_random_schedules": MAX_REQUEST_RANDOM_SCHEDULES,
+            "max_steps": MAX_REQUEST_STEPS,
+        })
+        assert status == 200
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,10 @@ from repro.analysis.specs import (
     chain_insert_spec,
     check_annotations,
     default_registry,
-    registry_from_env,
 )
 from repro.core.dca import DcaAnalyzer
 from repro.core.liveout import Snapshot, canonicalize_snapshot
 from repro.core.report import DECIDED_STATIC_SPECS
-from repro.env import env_flag
 
 
 def _zero() -> float:
@@ -123,19 +121,23 @@ ENV_FLAG_SPELLINGS = [
 
 @pytest.mark.parametrize("raw, meaning", ENV_FLAG_SPELLINGS)
 def test_registry_from_env(monkeypatch, raw, meaning):
+    # DcaAnalyzer's specs=None asks the environment for the registry.
     if raw is None:
         monkeypatch.delenv("REPRO_SPECS", raising=False)
     else:
         monkeypatch.setenv("REPRO_SPECS", raw)
+    module = compile_program("func void main() { }")
+    # An explicit switch never reads the variable.
+    assert DcaAnalyzer(module, specs=False).specs is None
     if meaning == "error":
         with pytest.raises(ValueError, match="REPRO_SPECS"):
-            registry_from_env()
+            DcaAnalyzer(module)
         return
-    assert env_flag("REPRO_SPECS") is meaning
+    specs = DcaAnalyzer(module).specs
     if meaning:
-        assert registry_from_env().digest() == default_registry().digest()
+        assert specs.digest() == default_registry().digest()
     else:
-        assert registry_from_env() is None
+        assert specs is None
 
 
 # ---------------------------------------------------------------------------

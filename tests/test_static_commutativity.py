@@ -394,9 +394,10 @@ _REFUTES_COMMUTATIVE = {NON_COMMUTATIVE, RUNTIME_FAULT, SPLIT_MISMATCH}
 def test_static_verdicts_agree_with_dynamic_oracle(bench):
     # Both stages resolve specs identically (REPRO_SPECS), so the
     # agreement contract holds under either verification semantics.
-    from repro.analysis.specs import registry_from_env
+    from repro.analysis.specs import default_registry
+    from repro.env import resolve
 
-    specs = registry_from_env()
+    specs = default_registry() if resolve("specs") else None
     module = compile_program(bench.source)
     static = StaticCommutativityAnalysis(module, specs=specs).analyze()
     proven = [label for label, v in static.items() if v.is_proven]
